@@ -15,10 +15,11 @@ namespace redy::transport {
 /// fence exactly like the simulated NIC), and an initiator-chosen op
 /// token echoed in acks so completions rejoin their posts.
 ///
-/// Framing is deliberately naive — host byte order over loopback, a
-/// fixed header, no coalescing. The point of this backend is to run the
-/// identical Redy stack on real threads and sockets, not to compete
-/// with libibverbs.
+/// Framing is deliberately naive — host byte order over loopback and a
+/// fixed header per frame. Frames are never merged; the worker pool
+/// only gathers a pass's frames for one stream into one sendmsg. The
+/// point of this backend is to run the identical Redy stack on real
+/// threads and sockets, not to compete with libibverbs.
 
 enum class FrameType : uint8_t {
   /// First frame on a freshly dialed stream. `aux` = the listener-side

@@ -118,6 +118,9 @@ Status SocketQueuePair::Connect(rdma::QueuePair* peer) {
   conn_ = fab_->pool().AddConnection(fd, token_);
   has_conn_ = true;
   connected_ = true;
+  // The in-process peer may post as soon as we return, before its end
+  // of the stream is bound; SendFrame holds those frames until then.
+  if (peer_ == sp && !sp->broken_ && !sp->has_conn_) sp->connected_ = true;
   return Status::OK();
 }
 
@@ -126,13 +129,21 @@ Status SocketQueuePair::CheckSendable() const {
   if (remote_endpoint_) {
     return Status::FailedPrecondition("cannot post on an endpoint descriptor");
   }
-  if (!connected_ || !has_conn_) {
+  if (!connected_) {
     return Status::FailedPrecondition("QP is not connected");
   }
   if (outstanding_ >= max_depth_) {
     return Status::ResourceExhausted("QP queue depth exceeded");
   }
   return Status::OK();
+}
+
+void SocketQueuePair::SendFrame(std::vector<uint8_t> frame) {
+  if (has_conn_) {
+    fab_->pool().Send(conn_, std::move(frame));
+  } else {
+    pre_accept_.push_back(std::move(frame));
+  }
 }
 
 Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
@@ -157,7 +168,7 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   next_op_token_++;
   outstanding_++;
   nic()->CountWqePosted();
-  fab_->pool().Send(conn_, std::move(buf));
+  SendFrame(std::move(buf));
   return Status::OK();
 }
 
@@ -181,7 +192,7 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   next_op_token_++;
   outstanding_++;
   nic()->CountWqePosted();
-  fab_->pool().Send(conn_, EncodeFrame(h, nullptr, 0));
+  SendFrame(EncodeFrame(h, nullptr, 0));
   return Status::OK();
 }
 
@@ -201,7 +212,7 @@ Status SocketQueuePair::PostSend(uint64_t wr_id, const rdma::MemoryRegion* mr,
   next_op_token_++;
   outstanding_++;
   nic()->CountWqePosted();
-  fab_->pool().Send(conn_, std::move(buf));
+  SendFrame(std::move(buf));
   return Status::OK();
 }
 
@@ -263,7 +274,7 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
   outstanding_++;
   nic()->CountWqePosted();
   nic()->CountChainPosted();
-  fab_->pool().Send(conn_, EncodeFrame(h, body.data(), body.size()));
+  SendFrame(EncodeFrame(h, body.data(), body.size()));
   return Status::OK();
 }
 
@@ -351,6 +362,7 @@ void SocketQueuePair::Break() {
                                        nic()->sim()->Now()});
   }
   pending_.clear();
+  pre_accept_.clear();
   // Async error doorbell so a parked poller re-sweeps and sees broken().
   send_cq_.Notify();
   if (has_conn_) {
@@ -367,6 +379,8 @@ void SocketQueuePair::OnAccepted(WorkerPool::ConnId conn) {
   conn_ = conn;
   has_conn_ = true;
   connected_ = true;
+  for (auto& frame : pre_accept_) fab_->pool().Send(conn_, std::move(frame));
+  pre_accept_.clear();
 }
 
 void SocketQueuePair::OnTransportClosed() {
@@ -511,7 +525,13 @@ SocketFabric::SocketFabric(sim::Simulation* sim, WallClockDriver* driver,
   });
 }
 
-SocketFabric::~SocketFabric() { ShutdownTransport(); }
+SocketFabric::~SocketFabric() {
+  ShutdownTransport();
+  // NICs pull their regions out of this fabric's responder table as they
+  // die; destroy them here, while the table still exists, not in
+  // ~Fabric after it.
+  nics_.clear();
+}
 
 void SocketFabric::ShutdownTransport() { pool_.Stop(); }
 

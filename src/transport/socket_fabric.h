@@ -82,6 +82,9 @@ class SocketQueuePair : public rdma::QueuePair {
   };
 
   Status CheckSendable() const;
+  /// Hands an encoded frame to the stream, or holds it until OnAccepted
+  /// if this listener-side QP was dialed but its stream is not yet bound.
+  void SendFrame(std::vector<uint8_t> frame);
   /// Loop-side: an ack/response frame for op `op_token` arrived. `aux`
   /// echoes the response header's aux word (executed hop count for
   /// kChainResp; unused for the other acks).
@@ -107,6 +110,12 @@ class SocketQueuePair : public rdma::QueuePair {
   /// Ordered by op token == post order, so a Break() flush completes in
   /// post order exactly like the simulated sequencer. Loop-thread only.
   std::map<uint64_t, PendingOp> pending_;
+  /// Frames posted on a listener-side QP after an in-process peer's
+  /// Connect() returned but before its stream was bound (the kConnect
+  /// frame travels worker -> loop asynchronously). Sent in post order on
+  /// OnAccepted, so both ends can post once Connect returns, as on the
+  /// simulated fabric. Loop-thread only.
+  std::vector<std::vector<uint8_t>> pre_accept_;
 };
 
 /// The NIC of one server on the socket backend. Regions and queue pairs

@@ -27,16 +27,18 @@ namespace redy::transport {
 ///
 /// The driver is also the bridge between real worker threads and the
 /// single-threaded event world: Post() enqueues a callable from any
-/// thread into an MPSC mailbox and wakes the loop through an eventfd.
-/// Everything transactional (CQ pushes, ring notifiers, QP state) runs
-/// only on the loop thread, so the simulator's single-writer invariants
-/// survive contact with real concurrency.
+/// thread into an MPSC mailbox. Everything transactional (CQ pushes,
+/// ring notifiers, QP state) runs only on the loop thread, so the
+/// simulator's single-writer invariants survive contact with real
+/// concurrency.
 ///
-/// Idle behavior is the real arm of the Park/Wake machinery: when the
-/// next pending event is comfortably in the future (or there is none),
-/// the loop blocks in epoll_wait on the eventfd instead of spinning —
-/// a parked poller costs zero CPU until a completion, a ring doorbell,
-/// or a timer wakes the process.
+/// Idle behavior is spin-then-park, the real arm of the Park/Wake
+/// machinery: when the next pending event is comfortably in the future
+/// (or there is none), the loop first watches its mailbox for
+/// kIdleSpinNs, then blocks in epoll_wait on an eventfd — a parked
+/// poller costs zero CPU until a completion, a ring doorbell, or a
+/// timer wakes the process. Post() rings the eventfd only when the loop
+/// has announced it is parking, so a busy loop takes no wakeup syscalls.
 class WallClockDriver {
  public:
   explicit WallClockDriver(sim::Simulation* sim);
@@ -56,7 +58,7 @@ class WallClockDriver {
   bool running() const { return thread_.joinable(); }
 
   /// Enqueues `fn` to run on the loop thread (thread-safe, any thread).
-  /// Wakes the loop if it is parked.
+  /// Rings the doorbell only if the loop is parked or about to park.
   void Post(sim::InlineFunction fn);
 
   /// Runs `fn` on the loop thread and blocks until it returns; returns
@@ -114,10 +116,12 @@ class WallClockDriver {
   /// Monotonic nanoseconds since an arbitrary epoch (CLOCK_MONOTONIC).
   static uint64_t MonotonicNs();
 
- private:
-  void Loop();
-  void RingDoorbell();
-
+  /// How long an idle loop (and an idle epoll worker, worker_pool.h)
+  /// keeps polling its mailbox, yielding the core between polls, before
+  /// it parks. Long enough to bridge the gap between a batch's
+  /// completions and the next batch's posts under load; short enough
+  /// that an idle process is asleep within a blink.
+  static constexpr uint64_t kIdleSpinNs = 50'000;
   /// Events within this horizon are awaited by respinning the loop
   /// instead of sleeping: epoll_wait's millisecond granularity would
   /// otherwise quantize sub-ms poll intervals into stalls.
@@ -126,6 +130,12 @@ class WallClockDriver {
   /// noticed promptly.
   static constexpr int kMaxParkMs = 100;
 
+ private:
+  void Loop();
+  void RingDoorbell();
+  /// Polls the mailbox for up to kIdleSpinNs; true once mail arrived.
+  bool SpinForMail() const;
+
   sim::Simulation* sim_;
   int epfd_ = -1;
   int evfd_ = -1;
@@ -133,6 +143,13 @@ class WallClockDriver {
   std::thread::id loop_id_;
   std::mutex mu_;
   std::vector<sim::InlineFunction> mailbox_;
+  /// Lock-free hint that mailbox_ is non-empty, for the spinning loop;
+  /// written under mu_, authoritative only together with mailbox_.
+  std::atomic<bool> has_mail_{false};
+  /// Set by the loop before its final mailbox check ahead of
+  /// epoll_wait; Post() rings the doorbell only when it reads true
+  /// (Dekker handshake through mu_, see Loop()).
+  std::atomic<bool> parked_{false};
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> idle_blocks_{0};
   std::atomic<uint64_t> wakeups_{0};

@@ -4,15 +4,19 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
+#include "transport/wall_clock.h"
 
 namespace redy::transport {
 
@@ -86,8 +90,25 @@ void WorkerPool::Enqueue(int worker, std::function<void()> cmd) {
     std::lock_guard<std::mutex> lk(w.mu);
     w.commands.push_back(std::move(cmd));
   }
-  uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = write(w.evfd, &one, sizeof(one));
+  // Dekker handshake with the worker's park in Run(): it stores
+  // `parked` and then re-checks `commands` under mu. Either it sees
+  // this command or this load sees it parking.
+  if (w.parked.load(std::memory_order_seq_cst)) {
+    uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = write(w.evfd, &one, sizeof(one));
+  }
+}
+
+bool WorkerPool::RunCommands(Worker& w,
+                             std::vector<std::function<void()>>& scratch) {
+  {
+    std::lock_guard<std::mutex> lk(w.mu);
+    if (w.commands.empty()) return false;
+    scratch.swap(w.commands);
+  }
+  for (auto& cmd : scratch) cmd();
+  scratch.clear();
+  return true;
 }
 
 WorkerPool::ConnId WorkerPool::AddConnection(int fd, uint64_t bound_token) {
@@ -142,7 +163,7 @@ void WorkerPool::Send(ConnId conn, std::vector<uint8_t> buf) {
     if (it == w.conns.end() || it->second->closing) return;
     Conn& c = *it->second;
     c.outq.push_back(std::move(b));
-    FlushOut(w, c);
+    MarkDirty(w, c);
   };
   if (OnWorker(worker)) {
     deliver();
@@ -195,19 +216,56 @@ void WorkerPool::UpdateInterest(Worker& w, Conn& c) {
   epoll_ctl(w.epfd, EPOLL_CTL_MOD, c.fd, &ev);
 }
 
+void WorkerPool::MarkDirty(Worker& w, Conn& c) {
+  if (c.dirty) return;
+  c.dirty = true;
+  w.dirty.push_back(c.id);
+}
+
+void WorkerPool::FlushDirty(Worker& w) {
+  // Indexed: a close handler run from FlushOut may queue more.
+  for (size_t i = 0; i < w.dirty.size(); i++) {
+    auto it = w.conns.find(w.dirty[i]);
+    if (it == w.conns.end()) continue;
+    it->second->dirty = false;
+    FlushOut(w, *it->second);
+  }
+  w.dirty.clear();
+}
+
 void WorkerPool::FlushOut(Worker& w, Conn& c) {
   while (!c.outq.empty()) {
-    const std::vector<uint8_t>& front = c.outq.front();
+    // Gather the queued frames in order; the front may be part-sent.
+    struct iovec iov[kMaxIov];
+    int cnt = 0;
+    size_t want = 0;
+    for (auto it = c.outq.begin(); it != c.outq.end() && cnt < kMaxIov;
+         ++it, ++cnt) {
+      const size_t skip = cnt == 0 ? c.out_off : 0;
+      iov[cnt].iov_base = it->data() + skip;
+      iov[cnt].iov_len = it->size() - skip;
+      want += iov[cnt].iov_len;
+    }
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(cnt);
     // MSG_NOSIGNAL: a half-closed peer means EPIPE -> CloseConn, not a
     // process-wide SIGPIPE.
-    const ssize_t n = ::send(c.fd, front.data() + c.out_off,
-                             front.size() - c.out_off, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      c.out_off += static_cast<size_t>(n);
-      if (c.out_off == front.size()) {
+      // Retire every fully sent frame; a short send stops inside one.
+      size_t left = static_cast<size_t>(n);
+      while (left > 0) {
+        const size_t rest = c.outq.front().size() - c.out_off;
+        if (left < rest) {
+          c.out_off += left;
+          break;
+        }
+        left -= rest;
         c.outq.pop_front();
         c.out_off = 0;
       }
+      if (static_cast<size_t>(n) < want) break;  // socket buffer full
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -215,18 +273,27 @@ void WorkerPool::FlushOut(Worker& w, Conn& c) {
     CloseConn(w, c);
     return;
   }
+  // Whatever is left waits for EPOLLOUT, which re-marks the connection
+  // dirty so the rest leaves through this same flush.
   UpdateInterest(w, c);
 }
 
-void WorkerPool::HandleWritable(Worker& w, Conn& c) { FlushOut(w, c); }
-
 void WorkerPool::HandleReadable(Worker& w, Conn& c) {
-  uint8_t chunk[64 * 1024];
+  // Read straight into the tail of inbuf, growing it when the free tail
+  // drops below one chunk.
   while (true) {
-    const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
+    if (c.in_cap - c.in_len < kReadChunk) {
+      const size_t cap = std::max(2 * c.in_cap, c.in_len + kReadChunk);
+      auto grown = std::make_unique_for_overwrite<uint8_t[]>(cap);
+      if (c.in_len != 0) std::memcpy(grown.get(), c.inbuf.get(), c.in_len);
+      c.inbuf = std::move(grown);
+      c.in_cap = cap;
+    }
+    const size_t room = c.in_cap - c.in_len;
+    const ssize_t n = ::read(c.fd, c.inbuf.get() + c.in_len, room);
     if (n > 0) {
-      c.inbuf.insert(c.inbuf.end(), chunk, chunk + n);
-      if (static_cast<ssize_t>(sizeof(chunk)) == n) continue;
+      c.in_len += static_cast<size_t>(n);
+      if (static_cast<size_t>(n) == room) continue;
       break;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -234,32 +301,38 @@ void WorkerPool::HandleReadable(Worker& w, Conn& c) {
     CloseConn(w, c);  // EOF or hard error
     return;
   }
-  // Parse complete frames. The Conn may be closed mid-loop (protocol
-  // violation or a handler closing it); re-look it up each iteration.
+  // Parse complete frames by offset, then move the partial tail to the
+  // front once. A handler may close the Conn mid-loop (or the parser on
+  // a protocol violation), so it is looked up again after each frame.
   const ConnId id = c.id;
-  while (true) {
-    auto it = w.conns.find(id);
-    if (it == w.conns.end()) return;
-    Conn& cc = *it->second;
-    if (cc.inbuf.size() < sizeof(FrameHeader)) break;
+  Conn* cc = &c;
+  size_t off = 0;
+  while (cc->in_len - off >= sizeof(FrameHeader)) {
+    const uint8_t* at = cc->inbuf.get() + off;
     FrameHeader hdr;
-    std::memcpy(&hdr, cc.inbuf.data(), sizeof(hdr));
+    std::memcpy(&hdr, at, sizeof(hdr));
     if (hdr.magic != FrameHeader::kMagic ||
         hdr.payload_len > max_frame_payload_) {
-      CloseConn(w, cc);
+      CloseConn(w, *cc);
       return;
     }
     const size_t total = sizeof(FrameHeader) + hdr.payload_len;
-    if (cc.inbuf.size() < total) break;
-    std::vector<uint8_t> payload(
-        cc.inbuf.begin() + sizeof(FrameHeader), cc.inbuf.begin() + total);
-    cc.inbuf.erase(cc.inbuf.begin(), cc.inbuf.begin() + total);
+    if (cc->in_len - off < total) break;
+    std::vector<uint8_t> payload(at + sizeof(FrameHeader), at + total);
+    off += total;
     if (hdr.type == static_cast<uint8_t>(FrameType::kConnect)) {
-      cc.bound_token = hdr.aux;
+      cc->bound_token = hdr.aux;
     }
     if (handlers_.on_frame) {
-      handlers_.on_frame(id, cc.bound_token, hdr, std::move(payload));
+      handlers_.on_frame(id, cc->bound_token, hdr, std::move(payload));
     }
+    auto it = w.conns.find(id);
+    if (it == w.conns.end()) return;
+    cc = it->second.get();
+  }
+  if (off != 0) {
+    std::memmove(cc->inbuf.get(), cc->inbuf.get() + off, cc->in_len - off);
+    cc->in_len -= off;
   }
 }
 
@@ -267,24 +340,50 @@ void WorkerPool::Run(int index) {
   Worker& w = *workers_[index];
   std::vector<std::function<void()>> cmds;
   struct epoll_event evs[64];
+  uint64_t idle_since = 0;  // when the current idle stretch began; 0: busy
   while (!stop_.load(std::memory_order_acquire)) {
-    const int n = epoll_wait(w.epfd, evs, 64, 100);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
+    // 1. Commands from other threads: the loop's sends, installs, closes.
+    const bool ran = RunCommands(w, cmds);
+
+    // 2. Ready sockets: polled while busy or spinning, awaited once the
+    //    idle stretch outlasts the spin budget.
+    int timeout_ms = 0;
+    if (!ran) {
+      const uint64_t now = WallClockDriver::MonotonicNs();
+      if (idle_since == 0) idle_since = now;
+      if (now - idle_since >= WallClockDriver::kIdleSpinNs) {
+        // Announce the park, then re-check under mu (see Enqueue).
+        w.parked.store(true, std::memory_order_seq_cst);
+        bool empty;
+        {
+          std::lock_guard<std::mutex> lk(w.mu);
+          empty = w.commands.empty();
+        }
+        if (!empty) {
+          w.parked.store(false, std::memory_order_relaxed);
+          continue;
+        }
+        timeout_ms = WallClockDriver::kMaxParkMs;
+      }
+    }
+    const int n = epoll_wait(w.epfd, evs, 64, timeout_ms);
+    if (timeout_ms != 0) w.parked.store(false, std::memory_order_relaxed);
+    // EINTR counts as no events: the flush below must still run for
+    // what this pass's commands queued.
+    if (n < 0 && errno != EINTR) break;
+    if (ran || n > 0) {
+      idle_since = 0;
+    } else if (timeout_ms == 0) {
+      sched_yield();  // spinning: let a co-scheduled producer run
     }
     for (int i = 0; i < n; i++) {
       const uint64_t tag = evs[i].data.u64;
       if (tag == kEventfdTag) {
+        // A doorbell: the commands it announces run at the top of the
+        // next pass.
         uint64_t drained;
         while (read(w.evfd, &drained, sizeof(drained)) > 0) {
         }
-        {
-          std::lock_guard<std::mutex> lk(w.mu);
-          cmds.swap(w.commands);
-        }
-        for (auto& cmd : cmds) cmd();
-        cmds.clear();
         continue;
       }
       if (tag & kListenerBit) {
@@ -305,20 +404,17 @@ void WorkerPool::Run(int index) {
         CloseConn(w, c);
         continue;
       }
-      if (evs[i].events & EPOLLOUT) {
-        HandleWritable(w, c);
-        if (w.conns.find(tag) == w.conns.end()) continue;
-      }
+      if (evs[i].events & EPOLLOUT) MarkDirty(w, c);
       if (evs[i].events & (EPOLLIN | EPOLLRDHUP)) HandleReadable(w, c);
     }
+
+    // 3. One gathered send per connection that gained frames.
+    FlushDirty(w);
   }
   // Drain any last commands so no cross-thread caller is left holding a
-  // promise that will never resolve.
-  {
-    std::lock_guard<std::mutex> lk(w.mu);
-    cmds.swap(w.commands);
-  }
-  for (auto& cmd : cmds) cmd();
+  // promise that will never resolve, and send what they queued.
+  RunCommands(w, cmds);
+  FlushDirty(w);
 }
 
 }  // namespace redy::transport

@@ -25,10 +25,21 @@ namespace redy::transport {
 /// so per-connection state needs no locking and TCP's FIFO delivery
 /// survives as the QP's in-order guarantee.
 ///
+/// Each worker runs in passes: run the commands other threads posted,
+/// handle the ready sockets (parsing frames and running the responder),
+/// then flush every connection that gained outbound frames with one
+/// gathering sendmsg. Send() never writes the socket itself; it appends
+/// the frame to the connection's queue, so every frame — commands from
+/// the loop and acks sent while parsing alike — leaves in post order,
+/// and a pass's frames for one connection share one syscall.
+///
 /// Cross-thread entry points (AddConnection / Send / Close) hand the
-/// owning worker a command through a mutex-guarded queue plus eventfd
-/// kick; calls made on the owning worker itself (the common ack path:
-/// respond to a frame you just parsed) short-circuit and run inline.
+/// owning worker a command through a mutex-guarded queue; calls made on
+/// the owning worker itself (the common ack path: respond to a frame
+/// you just parsed) skip the queue. An idle worker keeps polling its
+/// queue and sockets for WallClockDriver::kIdleSpinNs, then parks in
+/// epoll_wait; producers ring its eventfd only once it has announced
+/// the park.
 class WorkerPool {
  public:
   /// Connection handle. Encodes the owning worker so any thread can
@@ -66,7 +77,8 @@ class WorkerPool {
   ConnId AddConnection(int fd, uint64_t bound_token);
 
   /// Queues `buf` (an encoded frame) on the connection's outbound
-  /// stream. Thread-safe; inline when called on the owning worker.
+  /// stream; it is written at the end of the owning worker's current or
+  /// next pass. Thread-safe.
   void Send(ConnId conn, std::vector<uint8_t> buf);
 
   /// Asynchronously closes the connection (on_close fires on the owning
@@ -89,12 +101,19 @@ class WorkerPool {
     int fd = -1;
     ConnId id = 0;
     uint64_t bound_token = 0;
-    std::vector<uint8_t> inbuf;
-    /// Outbound buffers awaiting the socket; front may be part-sent.
+    /// Inbound bytes: reads land at inbuf[in_len..in_cap), frames parse
+    /// from the front. Left uninitialized, so untouched capacity costs
+    /// no resident memory.
+    std::unique_ptr<uint8_t[]> inbuf;
+    size_t in_cap = 0;
+    size_t in_len = 0;
+    /// Outbound frames awaiting the socket; front may be part-sent.
     std::deque<std::vector<uint8_t>> outq;
     size_t out_off = 0;  // sent bytes of outq.front()
     bool want_write = false;
     bool closing = false;
+    /// Listed in Worker::dirty, to be flushed at the end of the pass.
+    bool dirty = false;
   };
 
   struct Worker {
@@ -102,19 +121,32 @@ class WorkerPool {
     int evfd = -1;
     std::mutex mu;
     std::vector<std::function<void()>> commands;
+    /// Set before the worker's final command check ahead of a blocking
+    /// epoll_wait; Enqueue rings evfd only when it reads true.
+    std::atomic<bool> parked{false};
     std::unordered_map<ConnId, std::unique_ptr<Conn>> conns;
+    /// Connections with frames queued this pass (owning thread only).
+    std::vector<ConnId> dirty;
     std::unordered_map<int, std::function<void(int)>> listeners;
     std::thread::id thread_id;
   };
 
   static constexpr uint64_t kEventfdTag = ~0ull;
   static constexpr uint64_t kListenerBit = 1ull << 63;
+  /// Minimum free tail offered to each read.
+  static constexpr size_t kReadChunk = 64 * 1024;
+  /// Frames gathered into one sendmsg at most.
+  static constexpr int kMaxIov = 64;
 
   void Run(int index);
   void Enqueue(int worker, std::function<void()> cmd);
   bool OnWorker(int worker) const;
+  /// Runs the queued commands; true if there were any.
+  bool RunCommands(Worker& w, std::vector<std::function<void()>>& scratch);
   void HandleReadable(Worker& w, Conn& c);
-  void HandleWritable(Worker& w, Conn& c);
+  void MarkDirty(Worker& w, Conn& c);
+  /// The end of a pass: one gathered flush per dirty connection.
+  void FlushDirty(Worker& w);
   void FlushOut(Worker& w, Conn& c);
   void UpdateInterest(Worker& w, Conn& c);
   void CloseConn(Worker& w, Conn& c);

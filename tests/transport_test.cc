@@ -7,6 +7,7 @@
 // Everything here is bounded to a few wall-clock seconds: this file is
 // the tier-1 loopback smoke test.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +26,7 @@
 #include "transport/loopback.h"
 #include "transport/socket_fabric.h"
 #include "transport/wall_clock.h"
+#include "transport/worker_pool.h"
 
 namespace redy {
 namespace {
@@ -82,6 +84,119 @@ TEST(WallClockDriverTest, TimersFireAgainstTheWallClock) {
   });
   ASSERT_TRUE(SpinUntil([&] { return fired.load() >= 1; }, 2'000));
   driver.Stop();
+}
+
+// Doorbells are rung only for a parked consumer, so a post racing the
+// consumer's park must never be stranded. A stranded post would still
+// run when the park times out; each round's deadline is well under
+// that, so stranding fails the test instead of hiding behind the
+// timeout.
+constexpr uint64_t kStrandDeadlineMs = WallClockDriver::kMaxParkMs / 2;
+
+TEST(WallClockDriverTest, PostsRacingTheParkAllRunPromptly) {
+  sim::Simulation sim;
+  WallClockDriver driver(&sim);
+  driver.Start();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 60;
+  std::atomic<uint64_t> ran{0};
+  uint64_t expected = 0;
+  for (int round = 0; round < kRounds; round++) {
+    // Odd rounds keep the loop busy with slow callables and back-to-back
+    // posts; even rounds post sparsely, with gaps past the spin budget,
+    // so posts land while the loop is spinning, parking or parked.
+    const bool busy = round % 2 == 1;
+    const int per_thread = busy ? 64 : 6;
+    std::vector<std::thread> posters;
+    for (int t = 0; t < kThreads; t++) {
+      posters.emplace_back([&, t] {
+        for (int i = 0; i < per_thread; i++) {
+          driver.Post([&ran, busy] {
+            if (busy) {
+              const uint64_t until = WallClockDriver::MonotonicNs() + 2'000;
+              while (WallClockDriver::MonotonicNs() < until) {
+              }
+            }
+            ran.fetch_add(1, std::memory_order_relaxed);
+          });
+          if (!busy && (i + t) % 2 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(40 * t + 30));
+          }
+        }
+      });
+    }
+    for (auto& th : posters) th.join();
+    expected += static_cast<uint64_t>(kThreads * per_thread);
+    ASSERT_TRUE(SpinUntil([&] { return ran.load() == expected; },
+                          kStrandDeadlineMs))
+        << "round " << round << ": " << ran.load() << " of " << expected
+        << " posts ran";
+  }
+  EXPECT_GT(driver.idle_blocks(), 0u) << "the loop never parked";
+  driver.Stop();
+  EXPECT_EQ(ran.load(), expected);
+}
+
+TEST(WorkerPoolTest, SendsRacingTheParkAllArriveInOrder) {
+  // Two workers: the sending end of a socketpair lands on worker 0, the
+  // receiving end on worker 1. Threads other than worker 0 Send(), so
+  // every frame crosses the command queue and its park handshake, then
+  // wakes worker 1 through the socket.
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 60;
+  std::atomic<uint64_t> received{0};
+  std::atomic<bool> in_order{true};
+  std::vector<uint64_t> next_seq(kThreads, 0);  // receiving worker only
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  transport::WorkerPool pool(2);
+  transport::WorkerPool::Handlers handlers;
+  handlers.on_frame = [&](transport::WorkerPool::ConnId, uint64_t,
+                          const transport::FrameHeader& hdr,
+                          std::vector<uint8_t> payload) {
+    const uint64_t t = hdr.token >> 32;
+    const uint64_t seq = hdr.token & 0xffffffffu;
+    if (t >= kThreads || next_seq[t] != seq || payload.size() != 24) {
+      in_order.store(false, std::memory_order_relaxed);
+    } else {
+      next_seq[t]++;
+    }
+    received.fetch_add(1, std::memory_order_release);
+  };
+  pool.Start(std::move(handlers));
+  const transport::WorkerPool::ConnId tx = pool.AddConnection(sv[0], 0);
+  pool.AddConnection(sv[1], 0);
+  std::vector<uint32_t> sent(kThreads, 0);
+  uint64_t expected = 0;
+  for (int round = 0; round < kRounds; round++) {
+    const bool busy = round % 2 == 1;
+    const int per_thread = busy ? 64 : 6;
+    std::vector<std::thread> senders;
+    for (int t = 0; t < kThreads; t++) {
+      senders.emplace_back([&, t] {
+        const uint8_t body[24] = {};
+        for (int i = 0; i < per_thread; i++) {
+          transport::FrameHeader h;
+          h.type = static_cast<uint8_t>(transport::FrameType::kWrite);
+          h.token = (static_cast<uint64_t>(t) << 32) | sent[t]++;
+          pool.Send(tx, transport::EncodeFrame(h, body, sizeof(body)));
+          if (!busy && (i + t) % 2 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(40 * t + 30));
+          }
+        }
+      });
+    }
+    for (auto& th : senders) th.join();
+    expected += static_cast<uint64_t>(kThreads * per_thread);
+    ASSERT_TRUE(SpinUntil(
+        [&] { return received.load(std::memory_order_acquire) == expected; },
+        kStrandDeadlineMs))
+        << "round " << round << ": " << received.load() << " of " << expected
+        << " frames arrived";
+  }
+  pool.Stop();
+  EXPECT_EQ(received.load(), expected);
+  EXPECT_TRUE(in_order.load()) << "a sender's frames arrived out of order";
 }
 
 // ---------------------------------------------------------------------------
@@ -228,21 +343,127 @@ TEST_P(BackendRdmaTest, OneSidedReadMovesBytes) {
 }
 
 TEST_P(BackendRdmaTest, CompletionsArriveInPostOrder) {
+  // A full queue depth of writes and reads, mixed sizes, posted in one
+  // loop turn so the socket backend gathers the frames into one flush.
+  // Completions must come back in post order, writes must land, and
+  // reads must return the bytes that were there before the batch (the
+  // two backends differ on when a read sees an earlier write to the same
+  // bytes, so reads and writes touch disjoint ranges).
+  constexpr uint64_t kLens[] = {8, 4096, 64, 1, 2048, 512, 3000, 4096};
+  constexpr uint64_t kSlot = 4 * kKiB;
+  constexpr uint64_t kReadBack = 32 * kKiB;
+  auto pattern = [](uint64_t k, uint64_t b, uint64_t salt) {
+    return static_cast<uint8_t>(k * 31 + b + salt);
+  };
+  for (uint64_t k = 0; k < 8; k++) {
+    for (uint64_t b = 0; b < kLens[k]; b++) {
+      local_->data()[k * kSlot + b] = pattern(k, b, 0);
+      remote_->data()[(2 * k + 1) * kSlot + b] = pattern(k, b, 7);
+    }
+  }
   harness_->Run([&] {
-    EXPECT_TRUE(
-        cqp_->PostWrite(1, local_, 0, remote_->remote_key(), 0, 16 * kKiB)
-            .ok());
-    EXPECT_TRUE(
-        cqp_->PostWrite(2, local_, 0, remote_->remote_key(), 0, 8).ok());
-    EXPECT_TRUE(
-        cqp_->PostRead(3, local_, 0, remote_->remote_key(), 0, 8 * kKiB)
-            .ok());
-    EXPECT_TRUE(
-        cqp_->PostWrite(4, local_, 0, remote_->remote_key(), 0, 8).ok());
+    for (uint64_t k = 0; k < 8; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(2 * k + 1, local_, k * kSlot,
+                                  remote_->remote_key(), 2 * k * kSlot,
+                                  kLens[k])
+                      .ok());
+      EXPECT_TRUE(cqp_->PostRead(2 * k + 2, local_, kReadBack + k * kSlot,
+                                 remote_->remote_key(), (2 * k + 1) * kSlot,
+                                 kLens[k])
+                      .ok());
+    }
   });
-  auto wcs = DrainN(4);
-  ASSERT_EQ(wcs.size(), 4u);
-  for (size_t i = 0; i < wcs.size(); i++) EXPECT_EQ(wcs[i].wr_id, i + 1);
+  auto wcs = DrainN(16);
+  ASSERT_EQ(wcs.size(), 16u);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+  }
+  for (uint64_t k = 0; k < 8; k++) {
+    EXPECT_EQ(std::memcmp(remote_->data() + 2 * k * kSlot,
+                          local_->data() + k * kSlot, kLens[k]),
+              0)
+        << "write " << k;
+    for (uint64_t b = 0; b < kLens[k]; b++) {
+      ASSERT_EQ(local_->data()[kReadBack + k * kSlot + b], pattern(k, b, 7))
+          << "read " << k << " byte " << b;
+    }
+  }
+}
+
+TEST_P(BackendRdmaTest, WritesLargerThanTheSocketBufferCompleteInOrder) {
+  // 4 MiB of writes posted at once cannot fit the socket's send buffer,
+  // so the socket backend's gathered send returns short and the rest
+  // leaves on EPOLLOUT. Every op must still complete in order with the
+  // right bytes, including reads queued behind the writes.
+  constexpr uint64_t kChunk = 512 * kKiB;
+  constexpr uint64_t kWrites = 8;
+  constexpr uint64_t kReads = 4;
+  constexpr uint64_t kTotal = (kWrites + kReads) * kChunk;
+  MemoryRegion* src = nullptr;
+  MemoryRegion* dst = nullptr;
+  harness_->Run([&] {
+    src = client_nic_->RegisterMemory(kTotal);
+    dst = server_nic_->RegisterMemory(kTotal);
+  });
+  // Write sources and read sources carry different patterns, at the
+  // same offsets of src and dst respectively.
+  for (uint64_t i = 0; i < kTotal; i++) {
+    src->data()[i] = static_cast<uint8_t>(i / kChunk * 7 + i % 251);
+    dst->data()[i] = static_cast<uint8_t>(i / kChunk * 5 + i % 241);
+  }
+  std::vector<uint8_t> want_reads(dst->data() + kWrites * kChunk,
+                                  dst->data() + kTotal);
+  harness_->Run([&] {
+    for (uint64_t k = 0; k < kWrites + kReads; k++) {
+      const bool write = k < kWrites;
+      const Status st =
+          write ? cqp_->PostWrite(k + 1, src, k * kChunk, dst->remote_key(),
+                                  k * kChunk, kChunk)
+                : cqp_->PostRead(k + 1, src, k * kChunk, dst->remote_key(),
+                                 k * kChunk, kChunk);
+      EXPECT_TRUE(st.ok());
+    }
+  });
+  auto wcs = DrainN(kWrites + kReads);
+  ASSERT_EQ(wcs.size(), kWrites + kReads);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+  }
+  EXPECT_EQ(std::memcmp(dst->data(), src->data(), kWrites * kChunk), 0);
+  EXPECT_EQ(std::memcmp(src->data() + kWrites * kChunk, want_reads.data(),
+                        want_reads.size()),
+            0);
+}
+
+TEST_P(BackendRdmaTest, BothEndsCanPostAsSoonAsConnectReturns) {
+  // On the socket backend the listener-side QP learns its stream only
+  // when the dialer's kConnect frame reaches the loop, after Connect()
+  // has returned. A post it makes before then must wait for the stream
+  // (a cache server may answer a batch that early), not fail.
+  const char msg[] = "posted before the stream was bound";
+  std::memcpy(remote_->data(), msg, sizeof(msg));
+  QueuePair* sq = nullptr;
+  bool posted = false;
+  harness_->Run([&] {
+    QueuePair* cq = client_nic_->CreateQueuePair(4);
+    sq = server_nic_->CreateQueuePair(4);
+    EXPECT_TRUE(cq->Connect(sq).ok());
+    posted = sq->PostWrite(5, remote_, 0, local_->remote_key(), 512,
+                           sizeof(msg))
+                 .ok();
+  });
+  ASSERT_TRUE(posted);
+  WorkCompletion wc;
+  bool got = false;
+  ASSERT_TRUE(harness_->Await([&] {
+    if (!got && sq->send_cq().Poll(&wc, 1) == 1) got = true;
+    return got;
+  }));
+  EXPECT_EQ(wc.wr_id, 5u);
+  EXPECT_EQ(wc.status, StatusCode::kOk);
+  EXPECT_EQ(std::memcmp(local_->data() + 512, msg, sizeof(msg)), 0);
 }
 
 TEST_P(BackendRdmaTest, QueueDepthIsEnforced) {
