@@ -10,18 +10,19 @@
 namespace redy::common {
 
 /// Move-only callable with a small-buffer-optimized inline storage of
-/// `Capacity` bytes — `sim::InlineFunction` generalized to an arbitrary
-/// signature and capture budget. The data path fires one completion
-/// callback per cache op; std::function heap-allocates anything past
-/// its tiny SBO and requires copyability, which forced per-op
-/// shared_ptr state. InlineCallable stores the callable in place, moves
-/// instead of copying, and falls back to a single heap allocation only
-/// for oversized captures (which hot call sites rule out with a
+/// `Capacity` bytes. The simulator schedules millions of event lambdas
+/// per simulated second (`sim::InlineFunction` is this type over
+/// `void()`) and the data path fires one completion callback per cache
+/// op; std::function heap-allocates anything past its tiny SBO and
+/// requires copyability. InlineCallable stores the callable in place,
+/// moves instead of copying, and falls back to a single heap allocation
+/// only for oversized captures (which hot call sites rule out with a
 /// `static_assert(fits_inline)`).
 ///
-/// The ops-table layout matches sim::InlineFunction: trivially-copyable
-/// inline callables get null relocate/destroy entries, so moving a
-/// pooled op record is a memcpy and destroying it is free.
+/// Trivially-copyable inline callables get null relocate/destroy
+/// entries in the ops table, so moving a pooled record is a memcpy,
+/// destroying it is free, and a fired event costs exactly one indirect
+/// call (the invoke).
 template <typename Signature, size_t Capacity = 64>
 class InlineCallable;
 

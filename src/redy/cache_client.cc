@@ -18,6 +18,16 @@ constexpr uint64_t kWrKindChain = 3ULL << 56;
 constexpr uint64_t kWrKindMask = 0xffULL << 56;
 constexpr uint64_t kWrIdMask = ~kWrKindMask;
 
+/// Slot size of the one-sided staging ring; larger ops use a transient
+/// registered buffer.
+constexpr uint64_t kOneSidedSlotBytes = 64 * kKiB;
+/// Consecutive connection resets after which a VM counts as unhealthy:
+/// its reads divert to the replica until a sub-op succeeds.
+constexpr uint32_t kUnhealthyAfter = 2;
+/// kBusy retries back off this much longer than transport-fault
+/// retries (the server asked for air, not for a fast retry).
+constexpr uint64_t kBusyBackoffMultiplier = 4;
+
 }  // namespace
 
 CacheClient::CacheClient(sim::Simulation* sim, rdma::Fabric* fabric,
@@ -577,7 +587,7 @@ uint64_t CacheClient::DrainCompletions(CacheEntry& cache,
         payload = transient->data();
       } else if (op.staging_slot != UINT32_MAX) {
         payload = conn.onesided_ring->data() +
-                  op.staging_slot * options_.one_sided_slot_bytes;
+                  op.staging_slot * kOneSidedSlotBytes;
       }
       if (st.ok() && kind == kWrKindOneSided &&
           op.op == OpCode::kReadPtr && op.chase_hop == 0) {
@@ -718,20 +728,17 @@ uint64_t CacheClient::DrainResponses(CacheEntry& cache, ClientThread& thread,
                       ? Status::OK()
                       : Status(static_cast<StatusCode>(rh.status),
                                "server rejected request");
-      if (options_.verify_checksums) {
-        // Content validation: checksum first (a flipped bit anywhere
-        // reads as corruption), then the epoch echo for fenced writes.
-        const Status entry_st = ValidateResponseEntry(
-            rh, p, op.epoch,
-            options_.epoch_fencing && op.op == OpCode::kWrite);
-        if (!entry_st.ok()) {
-          if (entry_st.IsDataCorruption()) {
-            cache.ctr.checksum_mismatches->Inc();
-          } else {
-            cache.ctr.fence_stale_rejected->Inc();
-          }
-          st = entry_st;
+      // Content validation: checksum first (a flipped bit anywhere
+      // reads as corruption), then the epoch echo for fenced writes.
+      const Status entry_st = ValidateResponseEntry(
+          rh, p, op.epoch, options_.epoch_fencing && op.op == OpCode::kWrite);
+      if (!entry_st.ok()) {
+        if (entry_st.IsDataCorruption()) {
+          cache.ctr.checksum_mismatches->Inc();
+        } else {
+          cache.ctr.fence_stale_rejected->Inc();
         }
+        st = entry_st;
       }
       VRegion& op_vr = cache.regions[op.vregion];
       if (st.ok() && !op.to_replica && options_.lease_ttl_ns > 0) {
@@ -850,13 +857,12 @@ uint64_t CacheClient::DrainSubmissions(CacheEntry& cache,
     // Health-based diversion: a read whose primary VM keeps losing its
     // connection goes to the replica instead of queueing up behind
     // another reset cycle.
-    if (options_.hedge_reads_to_replica && op.op == OpCode::kRead &&
-        !op.to_replica && vr.replica.has_value()) {
+    if (op.op == OpCode::kRead && !op.to_replica && vr.replica.has_value()) {
       const uint32_t* h = thread.vm_health.Find(vr.placement.vm_id);
       // Divert only when the replica actually looks healthier than the
       // primary (else the hedge piles load onto the sicker VM) and the
       // hedge budget grants it.
-      if (h != nullptr && *h >= options_.unhealthy_after &&
+      if (h != nullptr && *h >= kUnhealthyAfter &&
           ReplicaHedgeUseful(cache, thread, vr) && TryWithdrawHedge(cache)) {
         op.to_replica = true;
         cache.ctr.hedged_to_replica->Inc();
@@ -972,10 +978,10 @@ uint64_t CacheClient::IssueOneSided(CacheEntry& cache, ClientThread& thread,
 
   rdma::MemoryRegion* staging = nullptr;
   uint64_t staging_off = 0;
-  if (op->len <= options_.one_sided_slot_bytes) {
+  if (op->len <= kOneSidedSlotBytes) {
     if (conn.onesided_ring == nullptr) {
       conn.onesided_ring = nic_->RegisterMemory(
-          options_.one_sided_slot_bytes * cache.cfg.q);
+          kOneSidedSlotBytes * cache.cfg.q);
       conn.onesided_slot_busy.assign(cache.cfg.q, false);
     }
     uint32_t slot = UINT32_MAX;
@@ -989,7 +995,7 @@ uint64_t CacheClient::IssueOneSided(CacheEntry& cache, ClientThread& thread,
     conn.onesided_slot_busy[slot] = true;
     op->staging_slot = slot;
     staging = conn.onesided_ring;
-    staging_off = slot * options_.one_sided_slot_bytes;
+    staging_off = slot * kOneSidedSlotBytes;
   } else {
     staging = nic_->RegisterMemory(op->len);
     conn.transient_mrs.Insert(wr, staging);
@@ -1077,7 +1083,7 @@ uint64_t CacheClient::Flush(CacheEntry& cache, ClientThread& thread,
   // Lease round trips are message-ring control ops and never convert.
   if (conn.current.size() == 1 && options_.costs.one_sided_singletons &&
       conn.current[0].op != OpCode::kLease &&
-      conn.current[0].len <= options_.one_sided_slot_bytes) {
+      conn.current[0].len <= kOneSidedSlotBytes) {
     bool issued = false;
     consumed = IssueOneSided(cache, thread, conn, &conn.current[0], &issued);
     if (issued) {
@@ -1442,8 +1448,7 @@ bool CacheClient::MaybeRetry(CacheEntry& cache, ClientThread& thread,
   // Hedge retried reads to the replica: the primary just failed, the
   // replica holds the same bytes — unless the replica looks even less
   // healthy, or the hedge budget is spent.
-  if (options_.hedge_reads_to_replica && op.op == OpCode::kRead &&
-      !op.to_replica &&
+  if (op.op == OpCode::kRead && !op.to_replica &&
       cache.regions[op.vregion].replica.has_value() &&
       ReplicaHedgeUseful(cache, thread, cache.regions[op.vregion]) &&
       TryWithdrawHedge(cache)) {
@@ -1461,7 +1466,7 @@ bool CacheClient::MaybeRetry(CacheEntry& cache, ClientThread& thread,
       !BuggifyFires(options_.buggify,
                     static_cast<uint32_t>(
                         chaos::BuggifyPoint::kIgnoreBusyPushback))) {
-    base *= std::max<uint64_t>(1, options_.busy_backoff_multiplier);
+    base *= kBusyBackoffMultiplier;
   }
   for (uint32_t i = 1; i < op.attempts && base < options_.retry_backoff_max_ns;
        i++) {

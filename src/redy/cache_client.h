@@ -56,9 +56,6 @@ class CacheClient {
     uint64_t region_bytes = 64 * kMiB;
     /// Capacity of each client thread's batch ring (requests).
     uint32_t batch_ring_capacity = 1 << 14;
-    /// Slot size of the one-sided staging ring; ops larger than this
-    /// use a transient registered buffer.
-    uint64_t one_sided_slot_bytes = 64 * kKiB;
     /// Cap on regions per cache VM (0 = unlimited). A nonzero cap makes
     /// region fan-out across VMs deterministic and bounds how many
     /// regions one VM loss takes down.
@@ -70,40 +67,13 @@ class CacheClient {
     /// Pause writes only to the region currently being migrated
     /// (instead of all migrating regions for the whole migration).
     bool pause_per_region_writes = true;
-    /// Chunking of the migration transfer.
+    /// Chunk size of a region copy (migration and repair).
     uint64_t migration_chunk_bytes = 256 * kKiB;
-    uint32_t migration_depth = 8;
-    /// Pacing of the transfer. The paper's tuned transfer moved 1 GB in
-    /// 1.09 s (~8 Gb/s effective), leaving the victim's NIC with ample
-    /// headroom to keep serving unpaused reads; we pace to the same
-    /// rate. Set to 0 for an unthrottled (line-rate) transfer.
-    double migration_bandwidth_bps = 8e9;
-    /// Aggregate migration bandwidth across *all* concurrent region
-    /// copies (reclamation storms). Concurrency is capped at
-    /// total/per-transfer rate; per-copy pacing also splits any link
-    /// shared by several copies. 0 = no aggregate cap.
-    double migration_total_bandwidth_bps = 8e9;
     /// Schedule overlapping migrations earliest-deadline-first instead
     /// of racing every transfer at once. Under a storm EDF finishes
     /// whole regions before their force-free; naive racing splits the
     /// bandwidth and tends to lose a little of everything.
     bool edf_migration = true;
-    /// Cap on resume attempts per region copy (gray faults can make a
-    /// transfer fail repeatedly; past this the region counts as lost).
-    uint32_t migration_max_resumes = 64;
-    /// Backoff base between target re-allocation attempts during
-    /// recovery (doubles per attempt; also woken by allocator capacity).
-    uint64_t recovery_alloc_backoff_ns = 50 * kMicrosecond;
-    /// Automatically migrate/repair when the manager reports VM loss.
-    bool auto_recover = true;
-
-    // --- Re-replication repair (Section 6.2) ---
-    /// Allocation attempts before a degraded region gives up repairing
-    /// (it stays degraded; the next loss retries).
-    uint32_t repair_max_attempts = 8;
-    /// Backoff base between repair allocation attempts (doubles per
-    /// attempt, capped at 100 ms; also woken by allocator capacity).
-    uint64_t repair_backoff_ns = 100 * kMicrosecond;
 
     // --- Resilience (fault tolerance) ---
     /// Retries for sub-ops failing with a retryable status (Unavailable
@@ -120,12 +90,6 @@ class CacheClient {
     /// +-50% jitter to avoid synchronized retry storms), capped below.
     uint64_t retry_backoff_ns = 5 * kMicrosecond;
     uint64_t retry_backoff_max_ns = 1 * kMillisecond;
-    /// Send retried reads — and new reads whose primary connection is
-    /// unhealthy — to the region's replica when one exists.
-    bool hedge_reads_to_replica = true;
-    /// Consecutive connection resets after which a VM counts as
-    /// unhealthy (reads divert to replicas until a sub-op succeeds).
-    uint32_t unhealthy_after = 2;
 
     // --- Overload resilience (DESIGN.md §12) ---
     /// Global retry budget: retries are capped at this fraction of
@@ -159,9 +123,6 @@ class CacheClient {
     uint32_t brownout_trip_signals = 8;
     uint64_t brownout_window_ns = 100 * kMicrosecond;
     uint64_t brownout_duration_ns = 200 * kMicrosecond;
-    /// kBusy retries back off this much longer than transport-fault
-    /// retries (the server asked for air, not for a fast retry).
-    uint64_t busy_backoff_multiplier = 4;
 
     // --- Fencing & integrity (DESIGN.md §7) ---
     /// Epoch-fence remote access: revoke a region's rkeys at migration
@@ -171,11 +132,6 @@ class CacheClient {
     /// stale keys then stay valid forever and a zombie write can land
     /// on a migrated (reassignable) region silently.
     bool epoch_fencing = true;
-    /// End-to-end payload checksums: op headers carry a checksum the
-    /// server verifies before applying writes; responses and migration
-    /// chunk copies are verified on arrival. Detects silent corruption,
-    /// not just loss.
-    bool verify_checksums = true;
     /// Lease TTL for two-sided configurations (s > 0). A write against
     /// a region whose lease lapsed is deferred until a renewal round
     /// trip confirms the client hasn't missed a revocation. Renewal
@@ -793,7 +749,6 @@ class CacheClient {
   /// source (primary or replica), (re)allocates a target when needed,
   /// then launches the chunked transfer from the acked prefix.
   void StartRegionCopy(MigrationJob* job);
-  void BeginChunkCopy(MigrationJob* job);
   void HandleCopyEnd(MigrationJob* job);
   /// Both copies of the region are gone (or resumes exhausted):
   /// account the loss exactly and move on with the acked prefix.
@@ -818,23 +773,46 @@ class CacheClient {
   /// A placement is usable as copy endpoint: VM alive, NIC up, and no
   /// passed reclamation deadline.
   bool VmUsable(const CacheManager::RegionPlacement& p) const;
-  uint32_t TransferSlots() const;
   /// Pacing interval for one chunk given current link sharing.
   uint64_t CopyPaceNs(net::ServerId src, net::ServerId dst) const;
-  void AcquireCopyLink(MigrationJob* job, net::ServerId src,
-                       net::ServerId dst);
-  void ReleaseCopyLink(MigrationJob* job);
   void LinkAcquire(net::ServerId src, net::ServerId dst);
   void LinkRelease(net::ServerId src, net::ServerId dst);
   /// Background (repair) copies yield to deadline-driven migrations.
   bool CanStartBackgroundCopy() const;
   void NotifyRecovery(const char* kind);
 
-  /// Paced chunked one-sided copy of `bytes` from `src` to `dst`
-  /// region placements; `done(failed)` fires when the last chunk lands.
-  void TransferRegion(const CacheManager::RegionPlacement& src,
-                      const CacheManager::RegionPlacement& dst,
-                      uint64_t bytes, std::function<void(bool)> done);
+  // --- region copier (migration and repair) ---
+  /// One paced, chunked one-sided copy of a region: a QP on the
+  /// target's NIC READs the source in `migration_chunk_bytes` chunks,
+  /// each checksummed against the source at post time and verified on
+  /// arrival. Completions arrive in post order, so `acked_off` is a
+  /// contiguous verified prefix a failed copy can resume from. A
+  /// MigrationJob embeds one; a repair owns one in background_.
+  struct RegionCopy {
+    uint64_t owner_bg = 0;  // background_ entry that owns this record
+    CacheId cache_id = 0;
+    CacheManager::RegionPlacement source;
+    net::ServerId dst_node = net::kInvalidServer;
+    rdma::QueuePair* qp = nullptr;  // on the target's NIC while running
+    std::unique_ptr<sim::Poller> driver;
+    uint64_t acked_off = 0;  // contiguous verified prefix
+    uint64_t next_off = 0;   // offset of the next chunk to post
+    std::deque<uint32_t> lens;  // in-flight chunk lens, post order
+    std::deque<uint64_t> sums;  // their source checksums at post time
+    bool failed = false;
+    std::function<void()> on_end;
+  };
+  /// Starts copying `src` to `dst` from `copy->acked_off`, holding a
+  /// copy link. When the last chunk lands (or the copy fails: error
+  /// completion, checksum mismatch, source gone, cache deleted) the
+  /// copier tears itself down and runs `on_end` in a fresh event,
+  /// unless the owner left background_ meanwhile.
+  void StartCopy(RegionCopy* copy, const CacheManager::RegionPlacement& src,
+                 const CacheManager::RegionPlacement& dst,
+                 std::function<void()> on_end);
+  /// Stops the poller, destroys the QP and releases the copy link (no-op
+  /// when the copy is not running).
+  void StopCopy(RegionCopy* copy);
 
   // --- replication internals ---
   /// Instant failover of replicated regions off `vm`, then background
@@ -849,6 +827,13 @@ class CacheClient {
   void ScheduleRepair(CacheId id, uint32_t vregion, uint32_t attempt,
                       uint64_t delay_ns);
   void RepairAttempt(CacheId id, uint32_t vregion, uint32_t attempt);
+  /// A failed repair attempt: backs off and retries, or gives up after
+  /// kRepairMaxAttempts leaving the region degraded.
+  void RetryRepair(CacheEntry& cache, uint32_t vregion, uint32_t attempt,
+                   const char* what);
+  /// Retires one pending repair; ends `vr`'s repair span unless the
+  /// cache is gone (nullptr).
+  void RepairDone(VRegion* vr);
 
   void OnVmLoss(cluster::VmId vm, sim::SimTime deadline);
   /// The recovery reaction to a VM-loss notice (failover / migrate).

@@ -29,6 +29,28 @@
 
 namespace redy {
 
+namespace {
+
+/// Chunk READs one region copy keeps in flight.
+constexpr uint32_t kCopyDepth = 8;
+/// Pacing of a region copy. The paper's tuned transfer moved 1 GB in
+/// 1.09 s (~8 Gb/s effective), leaving the victim's NIC ample headroom
+/// to keep serving unpaused reads; copies pace to the same rate. It is
+/// also the aggregate budget across all concurrent copies (reclamation
+/// storms), so concurrent copies split it.
+constexpr double kCopyBandwidthBps = 8e9;
+/// Migration jobs (and background copies) admitted at once: the
+/// aggregate copy budget over one copy's rate.
+constexpr uint32_t kCopySlots = 1;
+/// Resume attempts per region copy; gray faults can make a transfer
+/// fail repeatedly, and past this the region counts as lost.
+constexpr uint32_t kMaxCopyResumes = 64;
+/// Backoff base between target re-allocation attempts during recovery
+/// (doubles per attempt up to 64x; also woken by allocator capacity).
+constexpr uint64_t kAllocBackoffNs = 50 * kMicrosecond;
+
+}  // namespace
+
 /// State of one queued or running migration job. Regions move one at a
 /// time; the bandwidth-optimized transfer runs as chunked one-sided
 /// reads issued by the *new* VM against the current source copy.
@@ -48,25 +70,12 @@ struct CacheClient::MigrationJob {
 
   // Per-region copy state, reset by MigrateNextRegion.
   std::optional<CacheManager::RegionPlacement> target;
-  CacheManager::RegionPlacement source;
   bool from_replica = false;     // copying out of the replica
   bool alloc_waiting = false;    // parked on allocator backoff/waitlist
   uint32_t alloc_attempts = 0;
-  uint64_t acked_off = 0;        // contiguous acknowledged prefix
-  uint64_t next_chunk_off = 0;
-  uint32_t chunks_out = 0;
-  std::deque<uint32_t> chunk_lens;  // lens of in-flight chunks, in order
-  std::deque<uint64_t> chunk_sums;  // source checksums, parallel to lens
-  bool copy_failed = false;
   uint32_t region_resumes = 0;
   bool loss_accounted = false;
-  bool link_held = false;
-  net::ServerId link_src = net::kInvalidServer;
-  net::ServerId link_dst = net::kInvalidServer;
-
-  rdma::QueuePair* qp = nullptr;    // on the target server's NIC
-  rdma::QueuePair* peer = nullptr;  // on the source's NIC
-  std::unique_ptr<sim::Poller> driver;
+  RegionCopy copy;
   /// Quiesce/drain poller for the current phase. Reassigned per phase
   /// (never from inside its own body, so the replacement is safe).
   std::unique_ptr<sim::Poller> gate;
@@ -140,6 +149,8 @@ Status CacheClient::StartMigration(
   job->event.from = release_vm;
   job->event.started = sim_->Now();
   job->bg_id = next_bg_id_++;
+  job->copy.owner_bg = job->bg_id;
+  job->copy.cache_id = id;
   background_[job->bg_id] = job;
   migration_jobs_[job->bg_id] = job.get();
   cache->recovery_tasks++;
@@ -188,7 +199,7 @@ Status CacheClient::StartMigration(
 
 void CacheClient::PumpRecovery() {
   while (!migration_queue_.empty()) {
-    if (options_.edf_migration && running_jobs_ >= TransferSlots()) break;
+    if (options_.edf_migration && running_jobs_ >= kCopySlots) break;
     // Earliest deadline first; admission order breaks ties.
     size_t best = 0;
     for (size_t i = 1; i < migration_queue_.size(); i++) {
@@ -216,31 +227,16 @@ void CacheClient::StartJob(MigrationJob* job) {
   MigrateNextRegion(job);
 }
 
-uint32_t CacheClient::TransferSlots() const {
-  const double per = options_.migration_bandwidth_bps;
-  const double total = options_.migration_total_bandwidth_bps;
-  if (per <= 0 || total <= 0) return UINT32_MAX;
-  return std::max(1u, static_cast<uint32_t>(total / per));
-}
-
 uint64_t CacheClient::CopyPaceNs(net::ServerId src, net::ServerId dst) const {
-  double rate = options_.migration_bandwidth_bps;
-  const double total = options_.migration_total_bandwidth_bps;
-  if (total > 0 && copies_active_ > 0) {
-    const double share = total / copies_active_;
-    rate = rate <= 0 ? share : std::min(rate, share);
-  }
-  if (options_.migration_bandwidth_bps > 0) {
-    // A node touched by several concurrent copies splits its budget.
-    for (net::ServerId n : {src, dst}) {
-      const uint32_t* busy = busy_links_.Find(n);
-      if (busy != nullptr && *busy > 1) {
-        rate = std::min(rate, options_.migration_bandwidth_bps / *busy);
-      }
-      if (dst == src) break;
+  // Concurrent copies split the aggregate budget, and a node touched by
+  // several of them splits its link.
+  uint32_t sharers = std::max(1u, copies_active_);
+  for (net::ServerId n : {src, dst}) {
+    if (const uint32_t* busy = busy_links_.Find(n)) {
+      sharers = std::max(sharers, *busy);
     }
   }
-  if (rate <= 0) return 0;
+  const double rate = kCopyBandwidthBps / sharers;
   return static_cast<uint64_t>(
       static_cast<double>(options_.migration_chunk_bytes) * 8.0 / rate *
       1e9);
@@ -266,24 +262,9 @@ void CacheClient::LinkRelease(net::ServerId src, net::ServerId dst) {
   if (dst != src) drop(dst);
 }
 
-void CacheClient::AcquireCopyLink(MigrationJob* job, net::ServerId src,
-                                  net::ServerId dst) {
-  REDY_CHECK(!job->link_held);
-  job->link_held = true;
-  job->link_src = src;
-  job->link_dst = dst;
-  LinkAcquire(src, dst);
-}
-
-void CacheClient::ReleaseCopyLink(MigrationJob* job) {
-  if (!job->link_held) return;
-  job->link_held = false;
-  LinkRelease(job->link_src, job->link_dst);
-}
-
 bool CacheClient::CanStartBackgroundCopy() const {
   if (!options_.edf_migration) return true;
-  return migration_queue_.empty() && copies_active_ < TransferSlots();
+  return migration_queue_.empty() && copies_active_ < kCopySlots;
 }
 
 bool CacheClient::VmUsable(const CacheManager::RegionPlacement& p) const {
@@ -330,12 +311,7 @@ void CacheClient::MigrateNextRegion(MigrationJob* job) {
   job->from_replica = false;
   job->alloc_waiting = false;
   job->alloc_attempts = 0;
-  job->acked_off = 0;
-  job->next_chunk_off = 0;
-  job->chunks_out = 0;
-  job->chunk_lens.clear();
-  job->chunk_sums.clear();
-  job->copy_failed = false;
+  job->copy.acked_off = 0;
   job->region_resumes = 0;
   job->loss_accounted = false;
 
@@ -420,7 +396,7 @@ void CacheClient::StartRegionCopy(MigrationJob* job) {
   // reached it; the copy re-targets and starts over.
   if (job->target.has_value() && !VmUsable(*job->target)) {
     job->target.reset();
-    job->acked_off = 0;
+    job->copy.acked_off = 0;
     cache.ctr.migration_retargets->Inc();
     job->event.retargets++;
     if (telemetry::SpanTracer* tr = ActiveTracer()) {
@@ -444,8 +420,8 @@ void CacheClient::StartRegionCopy(MigrationJob* job) {
       // allocator's capacity waitlist. alloc_waiting dedupes the two
       // wakeups.
       job->alloc_waiting = true;
-      const uint64_t delay = options_.recovery_alloc_backoff_ns
-                             << std::min<uint32_t>(job->alloc_attempts, 6);
+      const uint64_t delay =
+          kAllocBackoffNs << std::min<uint32_t>(job->alloc_attempts, 6);
       job->alloc_attempts++;
       const uint64_t bg = job->bg_id;
       sim_->After(delay, [this, bg] { ResumeRegion(bg); });
@@ -454,7 +430,7 @@ void CacheClient::StartRegionCopy(MigrationJob* job) {
       return;
     }
     job->target = alloc_or->regions.front();
-    job->acked_off = 0;
+    job->copy.acked_off = 0;
     if (job->event.to == cluster::kInvalidVm) {
       job->event.to = job->target->vm_id;
     }
@@ -463,19 +439,21 @@ void CacheClient::StartRegionCopy(MigrationJob* job) {
   // Pick a live copy source: the primary, unless it already died and
   // the replica holds every acknowledged byte; back to the primary if
   // the replica is the one that is gone.
+  CacheManager::RegionPlacement source;
   if (!job->from_replica && VmUsable(vr.placement)) {
-    job->source = vr.placement;
+    source = vr.placement;
   } else if (vr.replica.has_value() && VmUsable(*vr.replica)) {
-    job->source = *vr.replica;
+    source = *vr.replica;
     job->from_replica = true;
   } else if (VmUsable(vr.placement)) {
-    job->source = vr.placement;
+    source = vr.placement;
     job->from_replica = false;
   } else {
     RegionLost(job);
     return;
   }
-  BeginChunkCopy(job);
+  StartCopy(&job->copy, source, *job->target,
+            [this, job] { HandleCopyEnd(job); });
 }
 
 void CacheClient::ResumeRegion(uint64_t bg_id) {
@@ -485,137 +463,7 @@ void CacheClient::ResumeRegion(uint64_t bg_id) {
   StartRegionCopy(it->second);
 }
 
-void CacheClient::BeginChunkCopy(MigrationJob* job) {
-  CacheEntry& cache = *FindCache(job->cache_id);
-  const CacheManager::RegionPlacement src = job->source;
-  const CacheManager::RegionPlacement dst = *job->target;
-  AcquireCopyLink(job, src.node, dst.node);
-
-  job->copy_failed = false;
-  job->qp = fabric_->NicAt(dst.node)->CreateQueuePair(
-      options_.migration_depth);
-  job->peer = fabric_->NicAt(src.node)->CreateQueuePair(
-      options_.migration_depth);
-  if (!job->qp->Connect(job->peer).ok()) job->copy_failed = true;
-  job->next_chunk_off = job->acked_off;  // resume at the acked prefix
-  job->chunks_out = 0;
-  job->chunk_lens.clear();
-  job->chunk_sums.clear();
-
-  rdma::MemoryRegion* dst_mr = dst.server->region(dst.region_index);
-  rdma::MemoryRegion* src_mr = src.server->region(src.region_index);
-  const rdma::RemoteKey src_key = src.key;
-  const uint64_t region_bytes = cache.region_bytes;
-
-  job->driver = std::make_unique<sim::Poller>(
-      sim_, 250,
-      [this, job, dst_mr, src_mr, src_key, region_bytes,
-       src_node = src.node, dst_node = dst.node]() -> uint64_t {
-        uint64_t consumed = 0;
-        rdma::WorkCompletion wc;
-        while (job->qp->send_cq().Poll(&wc, 1) == 1) {
-          REDY_CHECK(job->chunks_out > 0);
-          job->chunks_out--;
-          const uint32_t len = job->chunk_lens.front();
-          job->chunk_lens.pop_front();
-          const uint64_t want_sum = job->chunk_sums.front();
-          job->chunk_sums.pop_front();
-          if (wc.status != StatusCode::kOk) {
-            job->copy_failed = true;
-          } else if (!job->copy_failed) {
-            // Completions arrive in post order per QP, so successes
-            // before the first failure extend a contiguous prefix. The
-            // chunk now sits at [acked_off, acked_off+len) on the
-            // target; re-checksum it against the source-side sum taken
-            // at post time. A mismatch means the source mutated under
-            // the read (a zombie write racing the copy) — fail the
-            // copy without advancing the acked prefix so the resume
-            // re-reads the chunk.
-            bool chunk_ok = true;
-            if (options_.verify_checksums) {
-              CacheEntry& c = *FindCache(job->cache_id);
-              c.ctr.chunks_verified->Inc();
-              if (Checksum64(dst_mr->data() + job->acked_off, len) !=
-                  want_sum) {
-                chunk_ok = false;
-                c.ctr.checksum_mismatches->Inc();
-                job->copy_failed = true;
-                if (telemetry::SpanTracer* tr = ActiveTracer()) {
-                  tr->Instant(RecoveryTrack(*tr), "chunk_corrupt",
-                              "recovery", sim_->Now(),
-                              {"cache", job->cache_id},
-                              {"off", job->acked_off});
-                }
-              }
-            }
-            if (chunk_ok) {
-              job->acked_off += len;
-              if (telemetry::SpanTracer* tr = ActiveTracer()) {
-                tr->Instant(RecoveryTrack(*tr), "chunk_acked", "recovery",
-                            sim_->Now(), {"cache", job->cache_id},
-                            {"acked_off", job->acked_off});
-              }
-            }
-          }
-          consumed += 100;
-        }
-        // A source that vanished stops producing completions only for
-        // chunks not yet posted; stop posting against it.
-        if (!job->copy_failed && job->next_chunk_off < region_bytes &&
-            !VmUsable(job->source)) {
-          job->copy_failed = true;
-        }
-        // Pacing adapts to the current link sharing every iteration.
-        const uint64_t pace_ns = CopyPaceNs(src_node, dst_node);
-        while (!job->copy_failed && job->next_chunk_off < region_bytes &&
-               job->qp->outstanding() < options_.migration_depth) {
-          const uint64_t len =
-              std::min(options_.migration_chunk_bytes,
-                       region_bytes - job->next_chunk_off);
-          Status st = job->qp->PostRead(job->next_chunk_off, dst_mr,
-                                        job->next_chunk_off, src_key,
-                                        job->next_chunk_off, len);
-          if (!st.ok()) {
-            job->copy_failed = true;
-            break;
-          }
-          job->chunks_out++;
-          job->chunk_lens.push_back(static_cast<uint32_t>(len));
-          // Source-side checksum at post time: the copy is only correct
-          // if the source stays frozen until the read lands.
-          job->chunk_sums.push_back(
-              options_.verify_checksums
-                  ? Checksum64(src_mr->data() + job->next_chunk_off, len)
-                  : 0);
-          job->next_chunk_off += len;
-          consumed += 200;
-          if (pace_ns > 0) break;  // at most one chunk per pace interval
-        }
-        const bool finished =
-            (job->next_chunk_off >= region_bytes || job->copy_failed) &&
-            job->chunks_out == 0;
-        if (finished) {
-          job->driver->Stop();
-          // Finalize outside the poller body.
-          sim_->After(0, [this, bg = job->bg_id] {
-            auto it = migration_jobs_.find(bg);
-            if (it != migration_jobs_.end()) HandleCopyEnd(it->second);
-          });
-        }
-        if (consumed == 0) return 50;
-        return pace_ns > consumed ? pace_ns : consumed;
-      });
-  job->driver->Start();
-}
-
 void CacheClient::HandleCopyEnd(MigrationJob* job) {
-  job->driver.reset();
-  if (job->qp != nullptr) {
-    job->qp->nic()->DestroyQueuePair(job->qp);
-    job->qp = nullptr;
-    job->peer = nullptr;
-  }
-  ReleaseCopyLink(job);
   CacheEntry& cache = *FindCache(job->cache_id);
 
   if (!VmUsable(*job->target)) {
@@ -624,7 +472,7 @@ void CacheClient::HandleCopyEnd(MigrationJob* job) {
     StartRegionCopy(job);
     return;
   }
-  if (!job->copy_failed) {
+  if (!job->copy.failed) {
     job->event.bytes += cache.region_bytes;
     SwapRegion(job);
     MigrateNextRegion(job);
@@ -633,7 +481,7 @@ void CacheClient::HandleCopyEnd(MigrationJob* job) {
   // Transfer failed (gray fault, source loss, broken QP): resume from
   // the acknowledged prefix, bounded so a persistently failing copy
   // eventually counts as lost.
-  if (job->region_resumes >= options_.migration_max_resumes) {
+  if (job->region_resumes >= kMaxCopyResumes) {
     RegionLost(job);
     return;
   }
@@ -642,7 +490,7 @@ void CacheClient::HandleCopyEnd(MigrationJob* job) {
   job->event.resumes++;
   if (telemetry::SpanTracer* tr = ActiveTracer()) {
     tr->Instant(RecoveryTrack(*tr), "resume", "recovery", sim_->Now(),
-                {"cache", job->cache_id}, {"acked_off", job->acked_off});
+                {"cache", job->cache_id}, {"acked_off", job->copy.acked_off});
   }
   StartRegionCopy(job);
 }
@@ -655,8 +503,8 @@ void CacheClient::RegionLost(MigrationJob* job) {
     job->event.data_lost = true;
     job->event.regions_lost++;
     job->event.lost_vregions.push_back(vr_index);
-    job->event.bytes_lost += cache.region_bytes - job->acked_off;
-    job->event.bytes += job->acked_off;
+    job->event.bytes_lost += cache.region_bytes - job->copy.acked_off;
+    job->event.bytes += job->copy.acked_off;
     cache.ctr.storm_regions_lost->Inc();
     if (telemetry::SpanTracer* tr = ActiveTracer()) {
       tr->Instant(RecoveryTrack(*tr), "region_lost", "recovery", sim_->Now(),
@@ -796,13 +644,7 @@ void CacheClient::AbortCacheRecovery(CacheEntry& cache) {
       }
     }
     job->gate.reset();
-    job->driver.reset();
-    if (job->qp != nullptr) {
-      job->qp->nic()->DestroyQueuePair(job->qp);
-      job->qp = nullptr;
-      job->peer = nullptr;
-    }
-    ReleaseCopyLink(job);
+    StopCopy(&job->copy);
     if (job->target.has_value()) manager_->ReleaseVm(job->target->vm_id);
     REDY_CHECK(cache.recovery_tasks > 0);
     cache.recovery_tasks--;
@@ -864,114 +706,126 @@ std::vector<std::string> CacheClient::CheckInvariants() const {
   return violations;
 }
 
-void CacheClient::TransferRegion(const CacheManager::RegionPlacement& src,
-                                 const CacheManager::RegionPlacement& dst,
-                                 uint64_t bytes,
-                                 std::function<void(bool)> done) {
-  struct Xfer {
-    rdma::QueuePair* qp = nullptr;
-    rdma::QueuePair* peer = nullptr;
-    rdma::MemoryRegion* src_mr = nullptr;
-    std::unique_ptr<sim::Poller> driver;
-    uint64_t next_off = 0;
-    uint32_t out = 0;
-    std::deque<uint32_t> lens;   // in-flight chunk lens, post order
-    std::deque<uint64_t> offs;   // matching destination offsets
-    std::deque<uint64_t> sums;   // matching source-side checksums
-    bool failed = false;
-    std::function<void(bool)> done;
-  };
-  auto x = std::make_shared<Xfer>();
-  x->done = std::move(done);
-  const uint64_t bg = next_bg_id_++;
-  background_[bg] = x;
-
-  // Repair/background copies share the migration bandwidth budget.
+void CacheClient::StartCopy(RegionCopy* copy,
+                            const CacheManager::RegionPlacement& src,
+                            const CacheManager::RegionPlacement& dst,
+                            std::function<void()> on_end) {
+  const uint64_t region_bytes = FindCache(copy->cache_id)->region_bytes;
+  copy->source = src;
+  copy->dst_node = dst.node;
+  copy->on_end = std::move(on_end);
   LinkAcquire(src.node, dst.node);
 
-  x->qp = fabric_->NicAt(dst.node)->CreateQueuePair(
-      options_.migration_depth);
-  x->peer = fabric_->NicAt(src.node)->CreateQueuePair(
-      options_.migration_depth);
-  if (!x->qp->Connect(x->peer).ok()) x->failed = true;
+  copy->failed = false;
+  copy->qp = fabric_->NicAt(dst.node)->CreateQueuePair(kCopyDepth);
+  rdma::QueuePair* peer =
+      fabric_->NicAt(src.node)->CreateQueuePair(kCopyDepth);
+  if (!copy->qp->Connect(peer).ok()) copy->failed = true;
+  copy->next_off = copy->acked_off;
+  copy->lens.clear();
+  copy->sums.clear();
 
   rdma::MemoryRegion* dst_mr = dst.server->region(dst.region_index);
-  x->src_mr = src.server->region(src.region_index);
-  const rdma::RemoteKey src_key = src.key;
-
-  x->driver = std::make_unique<sim::Poller>(
+  rdma::MemoryRegion* src_mr = src.server->region(src.region_index);
+  copy->driver = std::make_unique<sim::Poller>(
       sim_, 250,
-      [this, xp = x.get(), bg, dst_mr, src_key, bytes,
-       src_node = src.node, dst_node = dst.node]() -> uint64_t {
+      [this, copy, dst_mr, src_mr, region_bytes]() -> uint64_t {
+        CacheEntry* cache = FindCache(copy->cache_id);
+        if (cache == nullptr) copy->failed = true;
         uint64_t consumed = 0;
         rdma::WorkCompletion wc;
-        while (xp->qp->send_cq().Poll(&wc, 1) == 1) {
-          REDY_CHECK(xp->out > 0);
-          xp->out--;
-          const uint32_t len = xp->lens.front();
-          xp->lens.pop_front();
-          const uint64_t off = xp->offs.front();
-          xp->offs.pop_front();
-          const uint64_t want = xp->sums.front();
-          xp->sums.pop_front();
+        while (copy->qp->send_cq().Poll(&wc, 1) == 1) {
+          REDY_CHECK(!copy->lens.empty());
+          const uint32_t len = copy->lens.front();
+          copy->lens.pop_front();
+          const uint64_t want_sum = copy->sums.front();
+          copy->sums.pop_front();
           if (wc.status != StatusCode::kOk) {
-            xp->failed = true;
-          } else if (!xp->failed && options_.verify_checksums &&
-                     Checksum64(dst_mr->data() + off, len) != want) {
-            // Replica repair shares the end-to-end integrity contract
-            // with migration: a chunk that lands differently from the
-            // source snapshot fails the whole transfer (the caller
-            // retries or accounts the loss), never goes live corrupt.
-            xp->failed = true;
+            copy->failed = true;
+          } else if (!copy->failed) {
+            // Successes before the first failure extend the contiguous
+            // prefix: the chunk now sits at [acked_off, acked_off+len)
+            // on the target. A checksum mismatch means the source
+            // mutated under the read (a zombie write racing the copy);
+            // the copy fails without advancing the prefix, so a resume
+            // re-reads the chunk and a corrupt region never goes live.
+            cache->ctr.chunks_verified->Inc();
+            if (Checksum64(dst_mr->data() + copy->acked_off, len) !=
+                want_sum) {
+              cache->ctr.checksum_mismatches->Inc();
+              copy->failed = true;
+              if (telemetry::SpanTracer* tr = ActiveTracer()) {
+                tr->Instant(RecoveryTrack(*tr), "chunk_corrupt", "recovery",
+                            sim_->Now(), {"cache", copy->cache_id},
+                            {"off", copy->acked_off});
+              }
+            } else {
+              copy->acked_off += len;
+              if (telemetry::SpanTracer* tr = ActiveTracer()) {
+                tr->Instant(RecoveryTrack(*tr), "chunk_acked", "recovery",
+                            sim_->Now(), {"cache", copy->cache_id},
+                            {"acked_off", copy->acked_off});
+              }
+            }
           }
           consumed += 100;
         }
-        const uint64_t pace_ns = CopyPaceNs(src_node, dst_node);
-        while (!xp->failed && xp->next_off < bytes &&
-               xp->qp->outstanding() < options_.migration_depth) {
-          const uint64_t len = std::min(options_.migration_chunk_bytes,
-                                        bytes - xp->next_off);
-          Status st = xp->qp->PostRead(xp->next_off, dst_mr, xp->next_off,
-                                       src_key, xp->next_off, len);
-          if (!st.ok()) {
-            xp->failed = true;
-            break;
-          }
-          xp->out++;
-          xp->lens.push_back(static_cast<uint32_t>(len));
-          xp->offs.push_back(xp->next_off);
-          xp->sums.push_back(
-              options_.verify_checksums
-                  ? Checksum64(xp->src_mr->data() + xp->next_off, len)
-                  : 0);
-          xp->next_off += len;
-          consumed += 200;
-          if (pace_ns > 0) break;
+        // A source that vanished stops producing completions only for
+        // chunks not yet posted; stop posting against it.
+        if (!copy->failed && copy->next_off < region_bytes &&
+            !VmUsable(copy->source)) {
+          copy->failed = true;
         }
-        if ((xp->next_off >= bytes || xp->failed) && xp->out == 0) {
-          xp->driver->Stop();
-          sim_->After(0, [this, xp, bg, src_node, dst_node] {
-            if (xp->qp != nullptr) {
-              xp->qp->nic()->DestroyQueuePair(xp->qp);
-              xp->qp = nullptr;
-              xp->peer = nullptr;
-            }
-            LinkRelease(src_node, dst_node);
-            auto done = std::move(xp->done);
-            const bool failed = xp->failed;
-            background_.erase(bg);  // destroys the Xfer and its poller
-            done(failed);
+        // At most one chunk per pace interval; pacing adapts to the
+        // current link sharing every iteration.
+        const uint64_t pace_ns = CopyPaceNs(copy->source.node, copy->dst_node);
+        if (!copy->failed && copy->next_off < region_bytes &&
+            copy->qp->outstanding() < kCopyDepth) {
+          const uint64_t len = std::min(options_.migration_chunk_bytes,
+                                        region_bytes - copy->next_off);
+          const Status st =
+              copy->qp->PostRead(copy->next_off, dst_mr, copy->next_off,
+                                 copy->source.key, copy->next_off, len);
+          if (st.ok()) {
+            copy->lens.push_back(static_cast<uint32_t>(len));
+            // The copy is only correct if the source stays frozen until
+            // the read lands.
+            copy->sums.push_back(
+                Checksum64(src_mr->data() + copy->next_off, len));
+            copy->next_off += len;
+            consumed += 200;
+          } else {
+            copy->failed = true;
+          }
+        }
+        if ((copy->next_off >= region_bytes || copy->failed) &&
+            copy->lens.empty()) {
+          copy->driver->Stop();
+          // Tear down and report outside the poller body.
+          sim_->After(0, [this, copy, owner = copy->owner_bg] {
+            if (background_.count(owner) == 0) return;
+            auto on_end = std::move(copy->on_end);
+            StopCopy(copy);
+            on_end();
           });
         }
         if (consumed == 0) return 50;
         return pace_ns > consumed ? pace_ns : consumed;
       });
-  x->driver->Start();
+  copy->driver->Start();
+}
+
+void CacheClient::StopCopy(RegionCopy* copy) {
+  copy->driver.reset();
+  if (copy->qp == nullptr) return;
+  copy->qp->nic()->DestroyQueuePair(copy->qp);
+  copy->qp = nullptr;
+  LinkRelease(copy->source.node, copy->dst_node);
 }
 
 void CacheClient::OnVmLoss(cluster::VmId vm, sim::SimTime deadline) {
-  // Record the death sentence first: even with auto-recovery off, the
-  // VM must stop counting as a usable copy endpoint at its deadline.
+  // Record the death sentence first: the VM stops counting as a usable
+  // copy endpoint at its deadline even while the reaction is delayed.
   vm_deadlines_[vm] = deadline;
   // Buggify may sit on the notice. The deadline clock above is already
   // running — only the reaction is late, exactly like a control-plane
@@ -988,7 +842,6 @@ void CacheClient::OnVmLoss(cluster::VmId vm, sim::SimTime deadline) {
 }
 
 void CacheClient::HandleVmLoss(cluster::VmId vm, sim::SimTime deadline) {
-  if (!options_.auto_recover) return;
   // Collect first: recovery mutates cache state.
   std::vector<CacheId> affected;
   for (auto& [id, cache] : caches_) {

@@ -14,6 +14,17 @@
 
 namespace redy {
 
+namespace {
+
+/// Allocation or transfer attempts before a degraded region gives up
+/// repairing (it stays degraded; the next loss retries).
+constexpr uint32_t kRepairMaxAttempts = 8;
+/// Backoff base between repair attempts (doubles per attempt, capped at
+/// 100 ms; allocation waits are also woken by allocator capacity).
+constexpr uint64_t kRepairBackoffNs = 100 * kMicrosecond;
+
+}  // namespace
+
 Result<CacheClient::CacheId> CacheClient::CreateReplicated(
     uint64_t capacity, const RdmaConfig& cfg, uint32_t record_bytes,
     bool spot) {
@@ -132,27 +143,44 @@ void CacheClient::ScheduleRepair(CacheId id, uint32_t vregion,
   manager_->allocator()->WaitForCapacity(once);
 }
 
+void CacheClient::RepairDone(VRegion* vr) {
+  if (vr != nullptr) EndRepairSpan(*vr);
+  REDY_CHECK(pending_repairs_ > 0);
+  pending_repairs_--;
+  gauge_pending_recoveries_->Set(static_cast<int64_t>(PendingRecoveries()));
+}
+
+void CacheClient::RetryRepair(CacheEntry& cache, uint32_t vregion,
+                              uint32_t attempt, const char* what) {
+  if (attempt + 1 >= kRepairMaxAttempts) {
+    REDY_LOG_ERROR("re-replication %s failed after %u attempts", what,
+                   attempt + 1);
+    VRegion& vr = cache.regions[vregion];
+    vr.repairing = false;  // stays degraded; retried on next loss
+    RepairDone(&vr);
+    return;
+  }
+  const uint64_t delay =
+      std::min<uint64_t>(kRepairBackoffNs << attempt, 100 * kMillisecond);
+  ScheduleRepair(cache.id, vregion, attempt + 1, delay);
+}
+
 void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
                                 uint32_t attempt) {
   CacheEntry* cache = FindCache(id);
   if (cache == nullptr || cache->deleted) {
-    REDY_CHECK(pending_repairs_ > 0);
-    pending_repairs_--;
-    gauge_pending_recoveries_->Set(static_cast<int64_t>(PendingRecoveries()));
+    RepairDone(nullptr);
     return;
   }
   VRegion& vr = cache->regions[vregion];
   if (!vr.repairing || vr.replica.has_value()) {
     // Repaired or re-homed by another path meanwhile.
-    EndRepairSpan(vr);
-    REDY_CHECK(pending_repairs_ > 0);
-    pending_repairs_--;
-    gauge_pending_recoveries_->Set(static_cast<int64_t>(PendingRecoveries()));
+    RepairDone(&vr);
     return;
   }
   if (vr.migrating) {
     // The region is mid-migration; let that land and try again.
-    ScheduleRepair(id, vregion, attempt, options_.repair_backoff_ns);
+    ScheduleRepair(id, vregion, attempt, kRepairBackoffNs);
     return;
   }
 
@@ -161,20 +189,7 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
       cache->region_bytes, cache->cfg, cache->record_bytes, cache->spot,
       node_, cache->region_bytes, 5, &avoid);
   if (!target_or.ok()) {
-    if (attempt + 1 >= options_.repair_max_attempts) {
-      REDY_LOG_ERROR("re-replication allocation failed after %u attempts: %s",
-                     attempt + 1, target_or.status().ToString().c_str());
-      vr.repairing = false;  // stays degraded; retried on next loss
-      EndRepairSpan(vr);
-      REDY_CHECK(pending_repairs_ > 0);
-      pending_repairs_--;
-      gauge_pending_recoveries_->Set(
-          static_cast<int64_t>(PendingRecoveries()));
-      return;
-    }
-    const uint64_t delay = std::min<uint64_t>(
-        options_.repair_backoff_ns << attempt, 100 * kMillisecond);
-    ScheduleRepair(id, vregion, attempt + 1, delay);
+    RetryRepair(*cache, vregion, attempt, "allocation");
     return;
   }
   const CacheManager::RegionPlacement target = target_or->regions[0];
@@ -195,10 +210,7 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
         if (cache == nullptr || cache->deleted) {
           (*q)->Stop();
           manager_->ReleaseVm(target.vm_id);
-          REDY_CHECK(pending_repairs_ > 0);
-          pending_repairs_--;
-          gauge_pending_recoveries_->Set(
-              static_cast<int64_t>(PendingRecoveries()));
+          RepairDone(nullptr);
           sim_->After(0, [this, bg] { background_.erase(bg); });
           return 0;
         }
@@ -209,52 +221,36 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
         (*q)->Stop();
         sim_->After(0, [this, bg] { background_.erase(bg); });
 
-        TransferRegion(
-            vr.placement, target, cache->region_bytes,
-            [this, id, vregion, target, attempt](bool failed) {
-              CacheEntry* cache = FindCache(id);
-              if (cache == nullptr || cache->deleted) {
-                manager_->ReleaseVm(target.vm_id);
-                REDY_CHECK(pending_repairs_ > 0);
-                pending_repairs_--;
-                gauge_pending_recoveries_->Set(
-                    static_cast<int64_t>(PendingRecoveries()));
-                return;
-              }
-              VRegion& vr = cache->regions[vregion];
-              vr.writes_paused = false;
-              ReplayParked(*cache, vregion);
-              if (failed) {
-                // Don't leak the fresh VM; retry bounded.
-                manager_->ReleaseVm(target.vm_id);
-                if (attempt + 1 >= options_.repair_max_attempts) {
-                  REDY_LOG_ERROR(
-                      "re-replication transfer failed after %u attempts",
-                      attempt + 1);
-                  vr.repairing = false;  // stays degraded
-                  EndRepairSpan(vr);
-                  REDY_CHECK(pending_repairs_ > 0);
-                  pending_repairs_--;
-                  gauge_pending_recoveries_->Set(
-                      static_cast<int64_t>(PendingRecoveries()));
-                  return;
-                }
-                const uint64_t delay = std::min<uint64_t>(
-                    options_.repair_backoff_ns << attempt,
-                    100 * kMillisecond);
-                ScheduleRepair(id, vregion, attempt + 1, delay);
-                return;
-              }
-              vr.replica = target;
-              vr.repairing = false;
-              cache->ctr.repairs_completed->Inc();
-              EndRepairSpan(vr);
-              REDY_CHECK(pending_repairs_ > 0);
-              pending_repairs_--;
-              gauge_pending_recoveries_->Set(
-                  static_cast<int64_t>(PendingRecoveries()));
-              NotifyRecovery("repair");
-            });
+        // The copy runs from offset 0 under its own background entry.
+        auto copy = std::make_shared<RegionCopy>();
+        copy->owner_bg = next_bg_id_++;
+        copy->cache_id = id;
+        background_[copy->owner_bg] = copy;
+        StartCopy(copy.get(), vr.placement, target,
+                  [this, id, vregion, target, attempt, c = copy.get()] {
+                    const bool failed = c->failed;
+                    background_.erase(c->owner_bg);  // destroys the copy
+                    CacheEntry* cache = FindCache(id);
+                    if (cache == nullptr || cache->deleted) {
+                      manager_->ReleaseVm(target.vm_id);
+                      RepairDone(nullptr);
+                      return;
+                    }
+                    VRegion& vr = cache->regions[vregion];
+                    vr.writes_paused = false;
+                    ReplayParked(*cache, vregion);
+                    if (failed) {
+                      // Don't leak the fresh VM; retry bounded.
+                      manager_->ReleaseVm(target.vm_id);
+                      RetryRepair(*cache, vregion, attempt, "transfer");
+                      return;
+                    }
+                    vr.replica = target;
+                    vr.repairing = false;
+                    cache->ctr.repairs_completed->Inc();
+                    RepairDone(&vr);
+                    NotifyRecovery("repair");
+                  });
         return 200;
       });
   (*quiesce)->Start();

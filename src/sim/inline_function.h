@@ -1,166 +1,18 @@
 #ifndef REDY_SIM_INLINE_FUNCTION_H_
 #define REDY_SIM_INLINE_FUNCTION_H_
 
-#include <cstddef>
-#include <cstring>
-#include <new>
-#include <type_traits>
-#include <utility>
+#include "common/inline_callable.h"
 
 namespace redy::sim {
 
-/// Move-only `void()` callable with a small-buffer-optimized inline
-/// storage of kInlineCapacity bytes. The event hot path schedules
-/// millions of lambdas per simulated second; std::function costs a heap
-/// allocation (and a deep copy on priority_queue pop) for anything past
-/// its tiny SBO and requires copyability. InlineFunction stores any
-/// callable up to the capacity in place, moves instead of copying, and
-/// falls back to a single heap allocation only for oversized captures.
-///
-/// Hot call sites static_assert `fits_inline<F>()` so a capture-list
-/// growth that would silently de-optimize the scheduler fails the build
-/// instead (see queue_pair.cc / poller.h).
-class InlineFunction {
- public:
-  /// Inline capture budget. Sized so the engine's hot lambdas (a `this`
-  /// pointer plus a handful of scalars, or a WorkCompletion and a
-  /// timestamp) fit with room to spare, while an EventRec stays within
-  /// two cache lines.
-  static constexpr size_t kInlineCapacity = 64;
-
-  /// True iff F is stored in place (no allocation on construction).
-  template <typename F>
-  static constexpr bool fits_inline() {
-    return sizeof(F) <= kInlineCapacity &&
-           alignof(F) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<F>;
-  }
-
-  InlineFunction() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    Construct(std::forward<F>(f));
-  }
-
-  /// Destroys the current callable (if any) and constructs `f` directly
-  /// in place — no intermediate InlineFunction, no relocate. The event
-  /// hot path uses this to build callbacks straight into pooled records.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  void Emplace(F&& f) {
-    Reset();
-    Construct(std::forward<F>(f));
-  }
-
-  InlineFunction(InlineFunction&& other) noexcept { MoveFrom(other); }
-
-  InlineFunction& operator=(InlineFunction&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-
-  InlineFunction(const InlineFunction&) = delete;
-  InlineFunction& operator=(const InlineFunction&) = delete;
-
-  ~InlineFunction() { Reset(); }
-
-  void operator()() { ops_->invoke(storage_); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-
-  void Reset() {
-    if (ops_ != nullptr) {
-      if (ops_->destroy != nullptr) ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void* storage);
-    /// Move-constructs into dst's raw storage and destroys src's value.
-    /// nullptr means "memcpy the storage": the callable is trivially
-    /// copyable, so relocation needs no indirect call.
-    void (*relocate)(void* src, void* dst) noexcept;
-    /// nullptr means trivially destructible: Reset() skips the indirect
-    /// call entirely. The engine fires millions of trivially-copyable
-    /// lambdas per second, so these two nulls drop the per-event
-    /// indirect-call count from three to one (the invoke).
-    void (*destroy)(void* storage);
-  };
-
-  template <typename F>
-  static constexpr bool trivial_inline() {
-    return fits_inline<F>() && std::is_trivially_copyable_v<F> &&
-           std::is_trivially_destructible_v<F>;
-  }
-
-  template <typename Fn>
-  static constexpr Ops kTrivialOps = {
-      [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
-      nullptr,
-      nullptr,
-  };
-
-  template <typename Fn>
-  static constexpr Ops kInlineOps = {
-      [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
-      [](void* src, void* dst) noexcept {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(src));
-        ::new (dst) Fn(std::move(*f));
-        f->~Fn();
-      },
-      [](void* s) { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); },
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps = {
-      [](void* s) { (**reinterpret_cast<Fn**>(s))(); },
-      [](void* src, void* dst) noexcept {
-        *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
-      },
-      [](void* s) { delete *reinterpret_cast<Fn**>(s); },
-  };
-
-  template <typename F>
-  void Construct(F&& f) {
-    using Fn = std::decay_t<F>;
-    if constexpr (trivial_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kTrivialOps<Fn>;
-    } else if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      ops_ = &kHeapOps<Fn>;
-    }
-  }
-
-  void MoveFrom(InlineFunction& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      if (ops_->relocate != nullptr) {
-        ops_->relocate(other.storage_, storage_);
-      } else {
-        std::memcpy(storage_, other.storage_, kInlineCapacity);
-      }
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
-  const Ops* ops_ = nullptr;
-};
+/// The engine's event callback: a move-only `void()` callable with a
+/// 64-byte inline capture budget. Sized so the engine's hot lambdas (a
+/// `this` pointer plus a handful of scalars, or a WorkCompletion and a
+/// timestamp) fit with room to spare, while an EventRec stays within
+/// two cache lines. Hot call sites static_assert `fits_inline<F>()` so
+/// a capture-list growth that would silently de-optimize the scheduler
+/// fails the build instead (see queue_pair.cc / poller.h).
+using InlineFunction = common::InlineCallable<void(), 64>;
 
 }  // namespace redy::sim
 

@@ -86,12 +86,11 @@ class FenceSoakTest : public ::testing::Test {
     o.client.region_bytes = 256 * kKiB;
     o.client.max_regions_per_vm = 1;  // VM reclaim == region migration
     o.client.migration_chunk_bytes = 64 * kKiB;
-    o.client.migration_bandwidth_bps = 8e9;
     o.client.max_retries = 6;
     o.client.sub_op_timeout_ns = 200 * kMicrosecond;
     o.client.retry_backoff_ns = 5 * kMicrosecond;
     o.client.retry_backoff_max_ns = 200 * kMicrosecond;
-    // epoch_fencing / verify_checksums / lease_ttl_ns: defaults (on).
+    // epoch_fencing / lease_ttl_ns: defaults (on).
     o.reclaim_notice = 4 * kMillisecond;
     Testbed tb(o);
     tb.EnableInvariantChecks();
@@ -520,7 +519,6 @@ TEST_F(FenceSoakTest, CutoverFencesAndRedirectsInFlightWrites) {
   o.client.region_bytes = 1 * kMiB;
   o.client.max_regions_per_vm = 1;
   o.client.migration_chunk_bytes = 128 * kKiB;
-  o.client.migration_bandwidth_bps = 8e9;
   o.client.max_retries = 6;
   o.client.sub_op_timeout_ns = 200 * kMicrosecond;
   o.client.retry_backoff_ns = 5 * kMicrosecond;

@@ -95,6 +95,14 @@ TEST_F(MigrationTest, MigrationPreservesDataAndRetargetsRegions) {
   // not absolute, is what matters).
   ASSERT_EQ(tb_.client().migrations().size(), 1u);
   EXPECT_EQ(tb_.client().migrations()[0].bytes, 6 * kMiB);
+  // Every chunk of every moved region was checksummed on arrival.
+  const auto region_bytes = tb_.client().RegionSize(id);
+  ASSERT_TRUE(region_bytes.ok());
+  const auto* stats = tb_.client().stats(id);
+  EXPECT_EQ(stats->chunks_verified,
+            event.regions *
+                (*region_bytes / tb_.client().options().migration_chunk_bytes));
+  EXPECT_EQ(stats->checksum_mismatches, 0u);
 }
 
 TEST_F(MigrationTest, ReadsKeepFlowingDuringMigration) {

@@ -79,6 +79,14 @@ TEST_F(RepairTest, RepairRestoresReplicasWithAntiAffinity) {
   const auto* stats = tb.client().stats(id);
   EXPECT_GE(stats->repairs_started, 1u);
   EXPECT_EQ(stats->repairs_completed, stats->repairs_started);
+  // Repair copies through the same verified chunk copier as migration:
+  // every chunk of every restored replica is checksummed on arrival.
+  const auto region_bytes = tb.client().RegionSize(id);
+  ASSERT_TRUE(region_bytes.ok());
+  EXPECT_EQ(stats->chunks_verified,
+            stats->repairs_completed *
+                (*region_bytes / tb.client().options().migration_chunk_bytes));
+  EXPECT_EQ(stats->checksum_mismatches, 0u);
   // Anti-affinity (replica never shares a node with its primary) plus
   // acked-bytes survival are swept by the invariant checker.
   EXPECT_GT(tb.invariant_checks(), 0u);
@@ -175,7 +183,7 @@ TEST_F(RepairCapacityTest, GivesUpAfterBoundedAttemptsWithoutLeaking) {
   tb.FailNode(primary.server);
 
   // Nothing ever frees: the repair retries with doubling backoff and
-  // gives up after repair_max_attempts, leaving the region degraded
+  // gives up after kRepairMaxAttempts, leaving the region degraded
   // but the cache usable and the recovery pipeline drained.
   ASSERT_TRUE(
       RunUntil(tb, [&] { return tb.client().PendingRecoveries() == 0; }));

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "ringbuf/mpmc_ring.h"
 #include "ringbuf/spsc_ring.h"
 
 namespace redy {
@@ -116,80 +113,6 @@ TEST(SpscRingTest, CachedIndicesSurviveWraparoundTransitions) {
     next_pop++;
   }
   EXPECT_EQ(next_push, next_pop);
-}
-
-TEST(MpmcRingTest, CursorLinesAreCacheLineAlignedAndDistinct) {
-  using Ring = ringbuf::MpmcRing<int>;
-  Ring ring(8);
-  const void* prod = ring.producer_line();
-  const void* cons = ring.consumer_line();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(prod) % Ring::kCacheLine, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(cons) % Ring::kCacheLine, 0u);
-  EXPECT_GE(ByteDistance(prod, cons), Ring::kCacheLine);
-}
-
-TEST(MpmcRingTest, PushPopSingleThread) {
-  ringbuf::MpmcRing<int> ring(8);
-  for (int i = 0; i < 8; i++) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(9));
-  for (int i = 0; i < 8; i++) {
-    auto v = ring.TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.TryPop().has_value());
-}
-
-TEST(MpmcRingTest, CapacityRoundsToPowerOfTwo) {
-  ringbuf::MpmcRing<int> ring(5);
-  EXPECT_EQ(ring.Capacity(), 8u);
-}
-
-TEST(MpmcRingTest, ConcurrentMultiProducerMultiConsumer) {
-  ringbuf::MpmcRing<uint64_t> ring(256);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr uint64_t kPerProducer = 100'000;
-
-  std::atomic<uint64_t> total_sum{0};
-  std::atomic<uint64_t> total_count{0};
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; p++) {
-    threads.emplace_back([&, p] {
-      for (uint64_t i = 0; i < kPerProducer; i++) {
-        const uint64_t v = p * kPerProducer + i + 1;
-        while (!ring.TryPush(v)) {
-        }
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; c++) {
-    threads.emplace_back([&] {
-      while (true) {
-        auto v = ring.TryPop();
-        if (v.has_value()) {
-          total_sum.fetch_add(*v, std::memory_order_relaxed);
-          total_count.fetch_add(1, std::memory_order_relaxed);
-        } else if (done.load(std::memory_order_acquire) &&
-                   ring.SizeApprox() == 0) {
-          // Final drain attempt before exiting.
-          auto last = ring.TryPop();
-          if (!last.has_value()) break;
-          total_sum.fetch_add(*last, std::memory_order_relaxed);
-          total_count.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; p++) threads[p].join();
-  done.store(true, std::memory_order_release);
-  for (int c = 0; c < kConsumers; c++) threads[kProducers + c].join();
-
-  const uint64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(total_count.load(), n);
-  EXPECT_EQ(total_sum.load(), n * (n + 1) / 2);
 }
 
 }  // namespace
