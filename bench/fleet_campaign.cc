@@ -54,7 +54,28 @@ struct ArmResult {
   uint64_t events = 0;
   uint64_t rounds = 0;
   uint64_t messages = 0;
+  /// Per worker, the share of the best trial's wall time spent waiting
+  /// in the engine's round barriers.
+  std::vector<double> wait_share;
+  /// Max over mean of the per-worker event sums, with partition p on
+  /// worker p % workers.
+  double imbalance = 1;
 };
+
+double EventImbalance(sim::ShardedEngine& eng) {
+  std::vector<uint64_t> per_worker(eng.workers(), 0);
+  for (uint32_t p = 0; p < eng.partitions(); p++) {
+    per_worker[p % eng.workers()] += eng.partition(p).events_executed();
+  }
+  uint64_t max = 0, total = 0;
+  for (uint64_t e : per_worker) {
+    max = std::max(max, e);
+    total += e;
+  }
+  return total == 0 ? 1
+                    : static_cast<double>(max) * eng.workers() /
+                          static_cast<double>(total);
+}
 
 ArmResult RunArm(const cluster::FleetOptions& base, uint32_t workers,
                  int trials) {
@@ -64,13 +85,22 @@ ArmResult RunArm(const cluster::FleetOptions& base, uint32_t workers,
     o.workers = workers;
     cluster::Fleet fleet(o);
     const double secs = WallSecondsOf([&] { fleet.Run(); });
-    if (t == 0 || secs < r.secs) r.secs = secs;
+    auto& eng = fleet.engine();
+    if (t == 0 || secs < r.secs) {
+      r.secs = secs;
+      r.wait_share.clear();
+      for (uint32_t w = 0; w < eng.workers(); w++) {
+        r.wait_share.push_back(static_cast<double>(eng.barrier_wait_ns(w)) /
+                               (secs * 1e9));
+      }
+    }
     if (t == 0) {
       r.snapshot = fleet.MetricsSnapshot();
       r.summary = fleet.Summarize();
-      r.events = fleet.engine().events_executed();
-      r.rounds = fleet.engine().rounds();
-      r.messages = fleet.engine().messages_sent();
+      r.events = eng.events_executed();
+      r.rounds = eng.rounds();
+      r.messages = eng.messages_sent();
+      r.imbalance = EventImbalance(eng);
     }
   }
   return r;
@@ -187,7 +217,13 @@ int main(int argc, char** argv) {
   std::printf("[arm] sharded (%u workers)\n", workers);
   const ArmResult par = RunArm(opts, workers, trials);
   PrintSummary(par.summary, par.secs, sim_ms);
-  std::printf("\n");
+  std::printf("  barrier wait share per worker:");
+  for (const double share : par.wait_share) {
+    std::printf(" %.0f%%", 100 * share);
+  }
+  std::printf("\n  partition-event imbalance (max/mean over workers): "
+              "%.2f\n\n",
+              par.imbalance);
 
   const bool deterministic = one.snapshot == par.snapshot;
   const double speedup = par.secs > 0 ? one.secs / par.secs : 0;
@@ -209,12 +245,17 @@ int main(int argc, char** argv) {
           "\"sim_ms\": %.0f, \"workers\": %u, \"cores\": %u, "
           "\"t1_secs\": %.4f, \"tn_secs\": %.4f, \"speedup\": %.3f, "
           "\"deterministic\": %d, \"events\": %llu, \"ops_ok\": %llu, "
-          "\"slo_violations\": %llu%s}\n",
+          "\"slo_violations\": %llu, \"wait_share\": [",
           servers, opts.tenants, sim_ms, workers, hw, one.secs, par.secs,
           speedup, deterministic ? 1 : 0,
           static_cast<unsigned long long>(one.events),
           static_cast<unsigned long long>(one.summary.ops_ok),
-          static_cast<unsigned long long>(one.summary.slo_violations),
+          static_cast<unsigned long long>(one.summary.slo_violations));
+      for (size_t w = 0; w < par.wait_share.size(); w++) {
+        std::fprintf(f, "%s%.3f", w == 0 ? "" : ", ", par.wait_share[w]);
+      }
+      std::fprintf(
+          f, "], \"event_imbalance\": %.3f%s}\n", par.imbalance,
           hw >= 4 ? ""
                   : ", \"note\": \"produced on a <4-core machine: the "
                     ">=3x speedup floor and the cross-machine speedup "

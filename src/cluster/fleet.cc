@@ -56,7 +56,6 @@ Fleet::Fleet(const FleetOptions& opts)
   eng.partitions = static_cast<uint32_t>(topo_.num_racks());
   eng.workers = opts_.workers;
   eng.lookahead_ns = lookahead_;
-  eng.channel_capacity = 256;
   engine_ = std::make_unique<sim::ShardedEngine>(eng);
 
   manager_.headroom.assign(topo_.num_servers(), 0);

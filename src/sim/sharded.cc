@@ -4,22 +4,16 @@ namespace redy::sim {
 
 ShardedEngine::ShardedEngine(const Options& opts)
     : lookahead_(opts.lookahead_ns),
-      workers_(std::max<uint32_t>(
-          1, std::min(opts.workers, std::max<uint32_t>(1, opts.partitions)))),
-      barrier_(std::max<uint32_t>(
-          1, std::min(opts.workers, std::max<uint32_t>(1, opts.partitions)))),
-      worker_min_(workers_) {
+      workers_(std::clamp<uint32_t>(opts.workers, 1,
+                                    std::max<uint32_t>(1, opts.partitions))),
+      barrier_(workers_),
+      slots_(workers_) {
   REDY_CHECK(opts.partitions >= 1);
   REDY_CHECK(opts.lookahead_ns >= 1);
   parts_.reserve(opts.partitions);
   for (uint32_t p = 0; p < opts.partitions; p++) {
-    auto part = std::make_unique<Partition>();
-    part->in.resize(opts.partitions);
-    for (uint32_t src = 0; src < opts.partitions; src++) {
-      if (src == p) continue;
-      part->in[src] = std::make_unique<Channel>(opts.channel_capacity);
-    }
-    parts_.push_back(std::move(part));
+    parts_.push_back(std::make_unique<Partition>());
+    parts_.back()->in.resize(opts.partitions);
   }
   for (uint32_t w = 1; w < workers_; w++) {
     helpers_.emplace_back([this, w] { HelperMain(w); });
@@ -51,18 +45,13 @@ void ShardedEngine::HelperMain(uint32_t w) {
 void ShardedEngine::DrainInbox(Partition& part) {
   auto& buf = part.drain_buf;
   buf.clear();
-  for (auto& chp : part.in) {
-    if (chp == nullptr) continue;
-    Channel& ch = *chp;
-    while (auto m = ch.ring.TryPop()) buf.push_back(std::move(*m));
-    if (!ch.spill.empty()) {
-      for (auto& m : ch.spill) buf.push_back(std::move(m));
-      ch.spill.clear();
-    }
+  for (Outbox& box : part.in) {
+    for (Msg& m : box.msgs) buf.push_back(std::move(m));
+    box.msgs.clear();
   }
   if (buf.empty()) return;
   // Deliveries are a total order, not an arrival order: sorting by
-  // (time, source partition, channel sequence) makes the destination's
+  // (time, source partition, outbox sequence) makes the destination's
   // schedule independent of which thread got where first.
   std::sort(buf.begin(), buf.end(), [](const Msg& a, const Msg& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -80,7 +69,7 @@ void ShardedEngine::DrainInbox(Partition& part) {
 
 void ShardedEngine::PickWindow() {
   SimTime m = Simulation::kNoEvent;
-  for (uint32_t i = 0; i < workers_; i++) m = std::min(m, worker_min_[i].v);
+  for (const WorkerSlot& slot : slots_) m = std::min(m, slot.min);
   rounds_++;
   if (m == Simulation::kNoEvent || m > target_) {
     // Nothing left at or before the target: one final advance pins
@@ -107,8 +96,8 @@ void ShardedEngine::WorkerLoop(uint32_t w) {
       DrainInbox(part);
       local_min = std::min(local_min, part.sim.NextEventTime());
     }
-    worker_min_[w].v = local_min;
-    barrier_.ArriveAndWait([this] { PickWindow(); });
+    slots_[w].min = local_min;
+    Barrier(w, [this] { PickWindow(); });
 
     // Window phase: run the safe window in parallel.
     const SimTime u = window_end_;
@@ -117,10 +106,10 @@ void ShardedEngine::WorkerLoop(uint32_t w) {
       parts_[p]->sim.RunUntil(u);
     }
     // The trailing barrier separates this round's producers from the
-    // next round's drains (no channel is ever touched from both ends
+    // next round's drains (no outbox is ever touched from both ends
     // concurrently) and, on the last round, keeps RunUntil from
     // returning while a helper still runs.
-    barrier_.ArriveAndWait([] {});
+    Barrier(w, [] {});
     if (done) return;
   }
 }
@@ -149,19 +138,7 @@ uint64_t ShardedEngine::events_executed() const {
 uint64_t ShardedEngine::messages_sent() const {
   uint64_t total = 0;
   for (const auto& p : parts_) {
-    for (const auto& ch : p->in) {
-      if (ch != nullptr) total += ch->sent;
-    }
-  }
-  return total;
-}
-
-uint64_t ShardedEngine::messages_spilled() const {
-  uint64_t total = 0;
-  for (const auto& p : parts_) {
-    for (const auto& ch : p->in) {
-      if (ch != nullptr) total += ch->spilled;
-    }
+    for (const Outbox& box : p->in) total += box.seq;
   }
   return total;
 }

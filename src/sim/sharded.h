@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "ringbuf/spsc_ring.h"
 #include "sim/inline_function.h"
 #include "sim/simulation.h"
 
@@ -24,12 +24,12 @@ namespace redy::sim {
 /// rack in the fleet campaign — each owning a private `Simulation`
 /// (with PR 4's slab-pooled records, O(1) cancel, and generation-tagged
 /// handles intact per partition). Cross-partition interaction happens
-/// only through Post(), which carries a callback over an SPSC channel
-/// to the destination partition. Partitions advance in rounds under a
+/// only through Post(), which appends a callback to the outbox of the
+/// (source, destination) pair. Partitions advance in rounds under a
 /// conservative lookahead window:
 ///
-///   1. Drain: every partition empties its inbound channels, sorting
-///      messages by (arrival time, source partition, channel sequence)
+///   1. Drain: every partition empties its inbound outboxes, sorting
+///      messages by (arrival time, source partition, outbox sequence)
 ///      before scheduling them, then reports its earliest pending
 ///      event time.
 ///   2. Window: with `m` = the global minimum of those times and `L`
@@ -65,9 +65,6 @@ class ShardedEngine {
     /// Conservative lookahead L (ns): the minimum cross-partition
     /// message delay Post() will accept. Must be >= 1.
     SimTime lookahead_ns = 1;
-    /// SPSC ring slots per ordered partition pair; bursts beyond the
-    /// ring spill to a vector on the producer side (order preserved).
-    size_t channel_capacity = 64;
   };
 
   explicit ShardedEngine(const Options& opts);
@@ -101,21 +98,9 @@ class ShardedEngine {
       return;
     }
     REDY_CHECK(t >= parts_[src]->sim.Now() + lookahead_);
-    Channel& ch = *parts_[dst]->in[src];
-    Msg m{t, ch.seq++, src, InlineFunction(std::forward<F>(fn))};
-    ch.sent++;
-    // Once a window starts spilling, keep spilling: the consumer
-    // replays ring-then-spill, so mixing after an overflow would
-    // reorder the channel. Size() over-estimates from the producer
-    // side (its consumer index may be stale), so the guard can only
-    // spill early, never push into a full ring.
-    if (ch.spill.empty() && ch.ring.Size() < ch.ring.Capacity()) {
-      const bool pushed = ch.ring.TryPush(std::move(m));
-      REDY_CHECK(pushed);
-      return;
-    }
-    ch.spilled++;
-    ch.spill.push_back(std::move(m));
+    Outbox& box = parts_[dst]->in[src];
+    box.msgs.push_back(
+        Msg{t, box.seq++, src, InlineFunction(std::forward<F>(fn))});
   }
 
   /// Runs every partition to exactly `until` (each partition's Now()
@@ -126,11 +111,14 @@ class ShardedEngine {
   /// Aggregate counters (read when quiesced, i.e. outside RunUntil).
   uint64_t events_executed() const;
   uint64_t messages_sent() const;
-  uint64_t messages_spilled() const;
+  uint64_t messages_spilled() const { return 0; }  // outboxes never spill
   uint64_t rounds() const { return rounds_; }
+  /// Wall nanoseconds worker `w` has spent inside the round barriers,
+  /// summed over every RunUntil so far.
+  uint64_t barrier_wait_ns(uint32_t w) const { return slots_[w].wait_ns; }
 
  private:
-  /// One cross-partition message. `seq` is the per-channel send index;
+  /// One cross-partition message. `seq` is the per-outbox send index;
   /// (time, src, seq) totally orders deliveries into a partition.
   struct Msg {
     SimTime time = 0;
@@ -139,30 +127,28 @@ class ShardedEngine {
     InlineFunction fn;
   };
 
-  /// SPSC channel for one ordered (src, dst) partition pair. The
-  /// producer is whichever thread runs src, the consumer whichever
-  /// thread runs dst; the round barriers mean they never actually
-  /// overlap — producers write only in the window phase, the consumer
-  /// drains only in the drain phase of the next round.
-  struct Channel {
-    explicit Channel(size_t cap) : ring(cap) {}
-    ringbuf::SpscRing<Msg> ring;
-    std::vector<Msg> spill;  // producer-appended overflow, in order
-    uint64_t seq = 0;        // producer side
-    uint64_t sent = 0;
-    uint64_t spilled = 0;
+  /// Messages from one partition to another, in send order. The thread
+  /// running src appends only in the window phase; the thread running
+  /// dst drains and clear()s it only in the next drain phase, so the
+  /// round barriers keep the two apart and no atomics are needed. The
+  /// vector keeps its capacity, so a steady pair stops allocating.
+  struct Outbox {
+    std::vector<Msg> msgs;
+    uint64_t seq = 0;  // messages ever sent
   };
 
   struct Partition {
     Simulation sim;
-    /// Inbound channels indexed by source partition (null for self).
-    std::vector<std::unique_ptr<Channel>> in;
+    /// Inbound outboxes indexed by source partition (self unused).
+    std::vector<Outbox> in;
     std::vector<Msg> drain_buf;  // consumer scratch, reused per round
   };
 
-  /// Each worker's phase-A minimum lives on its own cache line.
-  struct alignas(64) PaddedTime {
-    SimTime v = Simulation::kNoEvent;
+  /// Per-worker round state, each on its own cache line: the drain
+  /// phase's minimum and the accumulated barrier wait.
+  struct alignas(64) WorkerSlot {
+    SimTime min = Simulation::kNoEvent;
+    uint64_t wait_ns = 0;
   };
 
   /// Sense-reversing spin barrier with a serial section: the last
@@ -171,7 +157,7 @@ class ShardedEngine {
   /// (the engine must stay live on machines with fewer cores than
   /// workers). The fetch_add / release-store / acquire-load protocol
   /// gives full happens-before both ways across each crossing, which
-  /// is what makes the barrier-separated SPSC phases TSan-clean.
+  /// is what makes the barrier-separated outbox phases TSan-clean.
   class SpinBarrier {
    public:
     explicit SpinBarrier(uint32_t n) : n_(n) {}
@@ -200,6 +186,16 @@ class ShardedEngine {
   void WorkerLoop(uint32_t w);
   void HelperMain(uint32_t w);
   void DrainInbox(Partition& part);
+  /// ArriveAndWait, with the wait charged to worker w.
+  template <typename F>
+  void Barrier(uint32_t w, F&& serial) {
+    const auto t0 = std::chrono::steady_clock::now();
+    barrier_.ArriveAndWait(std::forward<F>(serial));
+    slots_[w].wait_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
   /// Serial section of the drain barrier: reduces the per-worker
   /// minima and picks the round's window bound.
   void PickWindow();
@@ -209,7 +205,7 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Partition>> parts_;
 
   SpinBarrier barrier_;
-  std::vector<PaddedTime> worker_min_;
+  std::vector<WorkerSlot> slots_;
   /// Round coordination, written only in PickWindow (the barrier's
   /// serial section) and read by workers after the barrier releases.
   SimTime target_ = 0;

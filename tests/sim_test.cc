@@ -479,29 +479,86 @@ TEST(ShardedEngineTest, SetupTimePostsBypassTheLookahead) {
   eng.Post(0, 1, 5, [&] { ran = true; });
   eng.RunUntil(10);
   EXPECT_TRUE(ran);
-  EXPECT_EQ(eng.messages_sent(), 0u);  // direct schedule, no channel
+  EXPECT_EQ(eng.messages_sent(), 0u);  // direct schedule, no outbox
 }
 
-TEST(ShardedEngineTest, ChannelOverflowSpillsInOrder) {
+TEST(ShardedEngineTest, SameTimeBurstsDeliverInSourceThenSendOrder) {
+  // Two sources each post a 1000-message same-time burst into one
+  // destination within one window.
+  constexpr int kBurst = 1000;
+  for (uint32_t workers : {1u, 2u}) {
+    sim::ShardedEngine::Options opts;
+    opts.partitions = 3;
+    opts.workers = workers;
+    opts.lookahead_ns = 10;
+    sim::ShardedEngine eng(opts);
+
+    std::vector<std::pair<uint32_t, int>> received;  // partition 2 state
+    for (uint32_t src : {1u, 0u}) {
+      eng.partition(src).At(1, [&eng, &received, src] {
+        for (int i = 0; i < kBurst; i++) {
+          eng.Post(src, 2, 500,
+                   [&received, src, i] { received.emplace_back(src, i); });
+        }
+      });
+    }
+    eng.RunUntil(600);
+    ASSERT_EQ(received.size(), 2u * kBurst) << "workers " << workers;
+    for (int k = 0; k < 2 * kBurst; k++) {
+      const auto want = std::make_pair(k < kBurst ? 0u : 1u, k % kBurst);
+      ASSERT_EQ(received[k], want) << "workers " << workers << " at " << k;
+    }
+    EXPECT_EQ(eng.messages_sent(), 2u * kBurst);
+  }
+}
+
+TEST(ShardedEngineTest, OutboxesAreReusedAcrossRunUntilCalls) {
+  // Every partition posts across partitions once per lookahead, so in
+  // every round of every RunUntil each outbox it uses is filled,
+  // drained and cleared again.
+  constexpr uint32_t kParts = 4;
+  constexpr sim::SimTime kLookahead = 20;
+  constexpr sim::SimTime kEnd = 10'000;
   sim::ShardedEngine::Options opts;
-  opts.partitions = 2;
+  opts.partitions = kParts;
   opts.workers = 2;
-  opts.lookahead_ns = 10;
-  opts.channel_capacity = 2;  // force the spill path
+  opts.lookahead_ns = kLookahead;
   sim::ShardedEngine eng(opts);
 
-  std::vector<int> received;
-  eng.partition(0).At(1, [&] {
-    for (int i = 0; i < 100; i++) {
-      // Identical arrival times: delivery must fall back to channel
-      // sequence order, including across the ring -> spill boundary.
-      eng.Post(0, 1, 500, [&received, i] { received.push_back(i); });
+  // ran[p * (kEnd + 1) + t] counts runs of the message partition p
+  // sent at t; each entry is touched only by its destination partition.
+  std::vector<int> ran(kParts * (kEnd + 1), 0);
+  struct Tick {
+    sim::ShardedEngine* eng;
+    int* ran;
+    uint32_t at;
+
+    void operator()() const {
+      const sim::SimTime now = eng->partition(at).Now();
+      const uint32_t dst = (at + 1 + static_cast<uint32_t>(now % 3)) % kParts;
+      int* slot = ran + at * (kEnd + 1) + now;
+      eng->Post(at, dst, now + kLookahead, [slot] { ++*slot; });
+      eng->partition(at).After(kLookahead, *this);
     }
-  });
-  eng.RunUntil(600);
-  ASSERT_EQ(received.size(), 100u);
-  for (int i = 0; i < 100; i++) EXPECT_EQ(received[i], i);
-  EXPECT_GT(eng.messages_spilled(), 0u);
+  };
+  for (uint32_t p = 0; p < kParts; p++) {
+    eng.partition(p).At(p + 1, Tick{&eng, ran.data(), p});
+  }
+  for (sim::SimTime until = 1000; until <= kEnd; until += 1000) {
+    eng.RunUntil(until);
+  }
+
+  uint64_t posted = 0;
+  for (uint32_t p = 0; p < kParts; p++) {
+    for (sim::SimTime t = p + 1; t <= kEnd; t += kLookahead) {
+      posted++;
+      // Messages still in flight at the end have not run yet.
+      const int want = t + kLookahead <= kEnd ? 1 : 0;
+      ASSERT_EQ(ran[p * (kEnd + 1) + t], want) << "partition " << p
+                                                << " t " << t;
+    }
+  }
+  EXPECT_EQ(eng.messages_sent(), posted);
 }
 
 TEST(ShardedEngineTest, RunUntilAdvancesEveryPartitionToTheBound) {
@@ -532,7 +589,6 @@ TEST(ShardedEngineTest, SameSeedRunsAreIdenticalAcrossWorkerCounts) {
     opts.partitions = kParts;
     opts.workers = workers;  // clamped to partitions when larger
     opts.lookahead_ns = kLookahead;
-    opts.channel_capacity = 4;  // exercise spill under load too
     sim::ShardedEngine eng(opts);
 
     // One log and one LCG per partition, only ever touched by events
