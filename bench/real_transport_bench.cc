@@ -3,12 +3,12 @@
 //
 //   sim:   the event-driven simulator (Testbed), throughput read off
 //          the simulated clock; this is the *model's prediction*,
-//   real:  the socket backend (LoopbackRig): loopback TCP queue pairs,
-//          epoll workers, wall-clock time.
+//   real:  the socket backend (LoopbackRig): queue pairs on in-process
+//          AF_UNIX socketpairs, epoll workers, wall-clock time.
 //
 // at 64 B / 1 KB / 8 KB records. The point of the comparison is not
 // that the numbers match — the simulator models an RDMA fabric, the
-// real backend pays loopback-TCP and scheduling costs — but that the
+// real backend pays socket syscall and scheduling costs — but that the
 // identical, unmodified stack completes the workload on both, and that
 // the wall-clock numbers are tracked against a committed baseline.
 //

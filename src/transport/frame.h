@@ -7,10 +7,10 @@
 
 namespace redy::transport {
 
-/// Wire format of the socket backend (DESIGN.md §13). One TCP stream
+/// Wire format of the socket backend (DESIGN.md §13). One stream socket
 /// carries one queue pair; every verb becomes a length-prefixed frame,
-/// and TCP's FIFO delivery stands in for the reliable-connected QP's
-/// in-order guarantee. Verbs semantics ride in the header: the rkey +
+/// and the stream's FIFO delivery stands in for the reliable-connected
+/// QP's in-order guarantee. Verbs semantics ride in the header: the rkey +
 /// access epoch of one-sided ops (so the responder can enforce the
 /// fence exactly like the simulated NIC), and an initiator-chosen op
 /// token echoed in acks so completions rejoin their posts.

@@ -21,7 +21,7 @@ namespace redy::transport {
 /// The real-transport counterpart of redy::Testbed: the *identical*
 /// stack — VmAllocator, CacheManager, CacheServer, CacheClient — built
 /// over a SocketFabric and driven by a WallClockDriver, all inside one
-/// process. Queue pairs ride real loopback TCP streams served by epoll
+/// process. Queue pairs ride AF_UNIX socketpairs served by epoll
 /// workers; pollers park in epoll_wait and wake on completions; modeled
 /// CPU costs become wall-clock scheduling floors. This is the harness
 /// the backend-parameterized tests and the real-transport bench run on

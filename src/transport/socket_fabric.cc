@@ -85,42 +85,43 @@ Status SocketQueuePair::Connect(rdma::QueuePair* peer) {
   if (broken_) return Status::Unavailable("QP is broken");
   if (connected_) return Status::FailedPrecondition("QP already connected");
   auto* sp = dynamic_cast<SocketQueuePair*>(peer);
-  if (sp == nullptr) {
-    return Status::InvalidArgument("peer is not a socket-backend QP");
+  if (sp == nullptr || sp == this) {
+    return Status::InvalidArgument("peer is not another socket-backend QP");
   }
-  std::string host;
-  uint16_t port = 0;
-  uint64_t target = 0;
   if (sp->remote_endpoint_) {
-    host = sp->host_;
-    port = sp->port_;
-    target = sp->remote_token_;
-  } else {
-    // In-process peer: dial the fabric's own listener. Keep the peer
-    // linkage so NIC failure breaks both ends, as on the simulated
-    // fabric.
-    host = fab_->listen_host();
-    port = fab_->port();
-    target = sp->token_;
-    peer_ = sp;
-    sp->peer_ = this;
+    // The peer lives in another process: dial its fabric's listener and
+    // name the peer in the kConnect frame.
+    const int fd = DialBlocking(sp->host_, sp->port_);
+    if (fd < 0) return Status::Unavailable("dial failed");
+    FrameHeader h;
+    h.type = static_cast<uint8_t>(FrameType::kConnect);
+    h.token = token_;
+    h.aux = sp->remote_token_;
+    if (!WriteFully(fd, EncodeFrame(h, nullptr, 0))) {
+      close(fd);
+      return Status::Unavailable("connect handshake failed");
+    }
+    conn_ = fab_->pool().AddConnection(fd, token_);
+    connected_ = true;
+    return Status::OK();
   }
-  const int fd = DialBlocking(host, port);
-  if (fd < 0) return Status::Unavailable("dial failed");
-  FrameHeader h;
-  h.type = static_cast<uint8_t>(FrameType::kConnect);
-  h.token = token_;
-  h.aux = target;
-  if (!WriteFully(fd, EncodeFrame(h, nullptr, 0))) {
-    close(fd);
-    return Status::Unavailable("connect handshake failed");
+  // In-process peer: one socketpair, each end bound to its QP before we
+  // return, so both ends can post at once. Keep the peer linkage so NIC
+  // failure breaks both ends, as on the simulated fabric.
+  if (sp->broken_) return Status::Unavailable("peer QP is broken");
+  if (sp->connected_) {
+    return Status::FailedPrecondition("peer QP already connected");
   }
-  conn_ = fab_->pool().AddConnection(fd, token_);
-  has_conn_ = true;
+  int sv[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    return Status::Unavailable("socketpair failed");
+  }
+  conn_ = fab_->pool().AddConnection(sv[0], token_);
+  sp->conn_ = sp->fab_->pool().AddConnection(sv[1], sp->token_);
   connected_ = true;
-  // The in-process peer may post as soon as we return, before its end
-  // of the stream is bound; SendFrame holds those frames until then.
-  if (peer_ == sp && !sp->broken_ && !sp->has_conn_) sp->connected_ = true;
+  sp->connected_ = true;
+  peer_ = sp;
+  sp->peer_ = this;
   return Status::OK();
 }
 
@@ -138,12 +139,12 @@ Status SocketQueuePair::CheckSendable() const {
   return Status::OK();
 }
 
-void SocketQueuePair::SendFrame(std::vector<uint8_t> frame) {
-  if (has_conn_) {
-    fab_->pool().Send(conn_, std::move(frame));
-  } else {
-    pre_accept_.push_back(std::move(frame));
-  }
+void SocketQueuePair::Issue(PendingOp op, std::vector<uint8_t> frame) {
+  pending_.push_back(std::move(op));
+  next_op_token_++;
+  outstanding_++;
+  nic()->CountWqePosted();
+  fab_->pool().Send(conn_, std::move(frame));
 }
 
 Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
@@ -161,14 +162,9 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   h.offset = remote_offset;
   // Snapshot at post time (verbs semantics): the frame owns its bytes,
   // so the caller may scribble over the source immediately.
-  auto buf = EncodeFrame(h, mr->data() + local_offset, len);
-  pending_.emplace(next_op_token_,
-                   PendingOp{wr_id, rdma::Opcode::kWrite, nullptr, 0,
-                             static_cast<uint32_t>(len), {}});
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
-  SendFrame(std::move(buf));
+  Issue(PendingOp{wr_id, rdma::Opcode::kWrite, nullptr, 0,
+                  static_cast<uint32_t>(len), {}},
+        EncodeFrame(h, mr->data() + local_offset, len));
   return Status::OK();
 }
 
@@ -186,13 +182,9 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   h.token = next_op_token_;
   h.offset = remote_offset;
   h.aux = len;
-  pending_.emplace(next_op_token_,
-                   PendingOp{wr_id, rdma::Opcode::kRead, mr, local_offset,
-                             static_cast<uint32_t>(len), {}});
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
-  SendFrame(EncodeFrame(h, nullptr, 0));
+  Issue(PendingOp{wr_id, rdma::Opcode::kRead, mr, local_offset,
+                  static_cast<uint32_t>(len), {}},
+        EncodeFrame(h, nullptr, 0));
   return Status::OK();
 }
 
@@ -205,14 +197,9 @@ Status SocketQueuePair::PostSend(uint64_t wr_id, const rdma::MemoryRegion* mr,
   FrameHeader h;
   h.type = static_cast<uint8_t>(FrameType::kSend);
   h.token = next_op_token_;
-  auto buf = EncodeFrame(h, mr->data() + local_offset, len);
-  pending_.emplace(next_op_token_,
-                   PendingOp{wr_id, rdma::Opcode::kSend, nullptr, 0,
-                             static_cast<uint32_t>(len), {}});
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
-  SendFrame(std::move(buf));
+  Issue(PendingOp{wr_id, rdma::Opcode::kSend, nullptr, 0,
+                  static_cast<uint32_t>(len), {}},
+        EncodeFrame(h, mr->data() + local_offset, len));
   return Status::OK();
 }
 
@@ -267,37 +254,34 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
   h.type = static_cast<uint8_t>(FrameType::kChain);
   h.token = next_op_token_;
   h.aux = num_hops;
-  PendingOp op{wr_id, rdma::Opcode::kChain, mr, 0,
-               static_cast<uint32_t>(total_read), std::move(desc)};
-  pending_.emplace(next_op_token_, std::move(op));
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
   nic()->CountChainPosted();
-  SendFrame(EncodeFrame(h, body.data(), body.size()));
+  Issue(PendingOp{wr_id, rdma::Opcode::kChain, mr, 0,
+                  static_cast<uint32_t>(total_read), std::move(desc)},
+        EncodeFrame(h, body.data(), body.size()));
   return Status::OK();
 }
 
 void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
                                  uint64_t aux, std::vector<uint8_t> payload) {
-  auto it = pending_.find(op_token);
-  if (it == pending_.end()) return;  // already flushed by Break()
-  const PendingOp op = it->second;
-  pending_.erase(it);
-  rdma::WorkCompletion wc{op.wr_id, op.opcode, status, op.len,
-                          nic()->sim()->Now()};
+  // Op tokens are contiguous, so the op sits at its distance from the
+  // front. Tokens outside the window were flushed by Break().
+  if (op_token < front_token_ || op_token - front_token_ >= pending_.size()) {
+    return;
+  }
+  PendingOp& op = pending_[op_token - front_token_];
+  if (op.done) return;
   if (op.opcode == rdma::Opcode::kRead && status == StatusCode::kOk) {
     if (payload.size() == op.len && op.mr->InBounds(op.local_offset, op.len)) {
       std::memcpy(op.mr->data() + op.local_offset, payload.data(), op.len);
     } else {
-      wc.status = StatusCode::kAborted;
+      status = StatusCode::kAborted;
     }
   }
   if (op.opcode == rdma::Opcode::kChain) {
     // Mirror the sim's counter placement: hops/aborts accrue on the
     // initiator NIC. `aux` is the responder's executed-hop count.
     for (uint64_t i = 0; i < aux; i++) nic()->CountChainHop();
-    if (wc.status == StatusCode::kOk) {
+    if (status == StatusCode::kOk) {
       if (payload.size() == op.len) {
         // Scatter the concatenated read payloads to each read hop's
         // local landing offset, in hop order.
@@ -308,19 +292,29 @@ void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
           from += w.len;
         }
       } else {
-        wc.status = StatusCode::kAborted;
+        status = StatusCode::kAborted;
       }
     }
-    if (wc.status != StatusCode::kOk) {
+    if (status != StatusCode::kOk) {
       // A poisoned chain lands nothing: one error completion, zero
       // bytes (the responder never shipped any payload past the fault).
-      wc.byte_len = 0;
+      op.len = 0;
       nic()->CountChainAborted();
     }
   }
-  outstanding_--;
-  nic()->CountWqeCompleted(wc.status == StatusCode::kOk);
-  send_cq_.Push(wc);
+  op.done = true;
+  op.status = status;
+  // Release every completed op at the front, in post order.
+  while (!pending_.empty() && pending_.front().done) {
+    const PendingOp& f = pending_.front();
+    const rdma::WorkCompletion wc{f.wr_id, f.opcode, f.status, f.len,
+                                  nic()->sim()->Now()};
+    pending_.pop_front();
+    front_token_++;
+    outstanding_--;
+    nic()->CountWqeCompleted(wc.status == StatusCode::kOk);
+    send_cq_.Push(wc);
+  }
 }
 
 StatusCode SocketQueuePair::AcceptIncomingSend(
@@ -350,11 +344,15 @@ StatusCode SocketQueuePair::AcceptIncomingSend(
 void SocketQueuePair::Break() {
   if (broken_) return;
   broken_ = true;
-  connected_ = false;
-  // Flush in post order (the map is keyed by the monotonically
-  // increasing op token), mirroring the simulated sequencer's in-order
-  // error flush.
-  for (const auto& [tok, op] : pending_) {
+  if (connected_) {
+    connected_ = false;
+    fab_->pool().Close(conn_);
+  }
+  // Flush in post order, mirroring the simulated sequencer's in-order
+  // error flush. Ops whose ack arrived but is still held behind an
+  // earlier op flush too.
+  for (size_t i = 0; i < pending_.size(); i++) {
+    const PendingOp& op = pending_[i];
     outstanding_--;
     nic()->CountWqeCompleted(false);
     send_cq_.Push(rdma::WorkCompletion{op.wr_id, op.opcode,
@@ -362,30 +360,25 @@ void SocketQueuePair::Break() {
                                        nic()->sim()->Now()});
   }
   pending_.clear();
-  pre_accept_.clear();
+  front_token_ = next_op_token_;
   // Async error doorbell so a parked poller re-sweeps and sees broken().
   send_cq_.Notify();
-  if (has_conn_) {
-    has_conn_ = false;
-    fab_->pool().Close(conn_);
-  }
 }
 
 void SocketQueuePair::OnAccepted(WorkerPool::ConnId conn) {
-  if (broken_ || has_conn_) {
+  if (broken_ || connected_) {
     fab_->pool().Close(conn);
     return;
   }
   conn_ = conn;
-  has_conn_ = true;
   connected_ = true;
-  for (auto& frame : pre_accept_) fab_->pool().Send(conn_, std::move(frame));
-  pre_accept_.clear();
 }
 
-void SocketQueuePair::OnTransportClosed() {
-  has_conn_ = false;
-  if (!broken_) Break();
+void SocketQueuePair::OnTransportClosed(WorkerPool::ConnId conn) {
+  // A stream this QP turned away (OnAccepted) is not its own.
+  if (!connected_ || conn != conn_) return;
+  connected_ = false;
+  Break();
 }
 
 // ---------------------------------------------------------------------------
@@ -490,8 +483,9 @@ SocketFabric::SocketFabric(sim::Simulation* sim, WallClockDriver* driver,
       driver_(driver),
       options_(std::move(options)),
       pool_(options_.workers) {
-  // One listening socket carries every QP of every NIC in this process;
-  // the kConnect frame routes each accepted stream to its QP token.
+  // The listener takes streams dialed from other processes; each one's
+  // kConnect frame routes it to its QP token. In-process queue pairs
+  // share socketpairs instead and never come through here.
   const int lfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   REDY_CHECK(lfd >= 0);
   int one = 1;
@@ -521,6 +515,8 @@ SocketFabric::SocketFabric(sim::Simulation* sim, WallClockDriver* driver,
   pool_.Start(std::move(handlers));
   pool_.AddListener(lfd, [this](int fd) {
     // Accepted streams bind their QP token on the first kConnect frame.
+    int nodelay = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     pool_.AddConnection(fd, 0);
   });
 }
@@ -652,9 +648,10 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
 }
 
 void SocketFabric::OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token) {
-  (void)conn;
   if (bound_token == 0) return;
-  driver_->Post([this, bound_token] { QpTransportClosed(bound_token); });
+  driver_->Post([this, bound_token, conn] {
+    QpTransportClosed(bound_token, conn);
+  });
 }
 
 uint8_t SocketFabric::ApplyWrite(const FrameHeader& hdr,
@@ -818,10 +815,11 @@ void SocketFabric::NotifyRemoteWriteOnLoop(uint32_t rkey) {
   mr->NotifyRemoteWrite();
 }
 
-void SocketFabric::QpTransportClosed(uint64_t qp_token) {
+void SocketFabric::QpTransportClosed(uint64_t qp_token,
+                                     WorkerPool::ConnId conn) {
   auto it = qp_registry_.find(qp_token);
   if (it == qp_registry_.end()) return;
-  it->second->OnTransportClosed();
+  it->second->OnTransportClosed(conn);
 }
 
 }  // namespace redy::transport

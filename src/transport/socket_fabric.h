@@ -2,7 +2,6 @@
 #define REDY_TRANSPORT_SOCKET_FABRIC_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/vec_deque.h"
 #include "rdma/nic.h"
 #include "rdma/queue_pair.h"
 #include "transport/frame.h"
@@ -21,22 +21,26 @@ namespace redy::transport {
 class SocketFabric;
 class SocketNic;
 
-/// A queue pair carried by one TCP stream (DESIGN.md §13). Posts run on
-/// the application loop thread: the payload is snapshotted into an
+/// A queue pair carried by one stream socket (DESIGN.md §13). Posts run
+/// on the application loop thread: the payload is snapshotted into an
 /// outbound frame at post time (the socket analogue of the simulated
 /// NIC's inline/PCIe snapshot — worker threads never read MR payload
 /// memory on the send side), a pending-op record keyed by a
 /// monotonically increasing op token is parked, and the frame is handed
 /// to the owning epoll worker. Acks flow back through the driver
-/// mailbox and complete ops strictly in post order — TCP FIFO plus the
-/// per-stream worker plus the FIFO mailbox reproduce the RC QP's
-/// in-order completion guarantee without a sequencer ring.
+/// mailbox. A one-sided ack leaves the responder's worker directly while
+/// a SEND's ack leaves from the receiver's loop, so acks can arrive out
+/// of post order; CompleteOp holds an early ack until every earlier op
+/// has completed, which keeps the RC QP's in-order completion guarantee.
 ///
-/// A SocketQueuePair can also be a *remote endpoint descriptor*: a
-/// placeholder carrying (host, port, token) for a QP living in another
-/// process. Connect() dials wherever the peer actually lives, so the
-/// same client code works in-process (loopback tests/bench) and
-/// cross-process (example binaries).
+/// Connect() joins two queue pairs of this process with one AF_UNIX
+/// socketpair, each end pre-bound to its QP, so both ends are connected
+/// when it returns. A SocketQueuePair can also be a *remote endpoint
+/// descriptor*: a placeholder carrying (host, port, token) for a QP
+/// living in another process. Connecting to one dials TCP, and the
+/// remote fabric's listener binds the accepted stream to the QP named
+/// by the kConnect frame. The same client code thus works in-process
+/// (loopback tests/bench) and cross-process (example binaries).
 class SocketQueuePair : public rdma::QueuePair {
  public:
   SocketQueuePair(SocketNic* nic, uint32_t max_depth);
@@ -79,12 +83,16 @@ class SocketQueuePair : public rdma::QueuePair {
     /// response's concatenated read payloads scatter back to each
     /// hop's local landing offset.
     std::vector<ChainHopWire> chain_hops;
+    /// Set when the op's ack has been applied; its completion waits in
+    /// `status` until every earlier op has completed too.
+    bool done = false;
+    StatusCode status = StatusCode::kOk;
   };
 
   Status CheckSendable() const;
-  /// Hands an encoded frame to the stream, or holds it until OnAccepted
-  /// if this listener-side QP was dialed but its stream is not yet bound.
-  void SendFrame(std::vector<uint8_t> frame);
+  /// Parks `op` under the next op token and hands its frame (encoded
+  /// with that token) to the stream.
+  void Issue(PendingOp op, std::vector<uint8_t> frame);
   /// Loop-side: an ack/response frame for op `op_token` arrived. `aux`
   /// echoes the response header's aux word (executed hop count for
   /// kChainResp; unused for the other acks).
@@ -92,10 +100,11 @@ class SocketQueuePair : public rdma::QueuePair {
                   std::vector<uint8_t> payload);
   /// Loop-side: an incoming kSend; returns the status to ack.
   StatusCode AcceptIncomingSend(const std::vector<uint8_t>& payload);
-  /// Loop-side: the listener side learned its stream (kConnect seen).
+  /// Loop-side: a stream dialed from another process named this QP in
+  /// its kConnect frame.
   void OnAccepted(WorkerPool::ConnId conn);
-  /// Loop-side: the stream died under us.
-  void OnTransportClosed();
+  /// Loop-side: stream `conn` died; breaks the QP if it was its own.
+  void OnTransportClosed(WorkerPool::ConnId conn);
 
   SocketFabric* fab_;
   uint64_t token_ = 0;
@@ -103,19 +112,14 @@ class SocketQueuePair : public rdma::QueuePair {
   std::string host_;
   uint16_t port_ = 0;
   uint64_t remote_token_ = 0;
+  /// True while the QP owns a live stream `conn_`.
   bool connected_ = false;
-  bool has_conn_ = false;
   WorkerPool::ConnId conn_ = 0;
   uint64_t next_op_token_ = 1;
-  /// Ordered by op token == post order, so a Break() flush completes in
-  /// post order exactly like the simulated sequencer. Loop-thread only.
-  std::map<uint64_t, PendingOp> pending_;
-  /// Frames posted on a listener-side QP after an in-process peer's
-  /// Connect() returned but before its stream was bound (the kConnect
-  /// frame travels worker -> loop asynchronously). Sent in post order on
-  /// OnAccepted, so both ends can post once Connect returns, as on the
-  /// simulated fabric. Loop-thread only.
-  std::vector<std::vector<uint8_t>> pre_accept_;
+  /// Posted, not yet completed ops in post order; pending_[i] carries op
+  /// token front_token_ + i. Loop-thread only.
+  common::VecDeque<PendingOp> pending_;
+  uint64_t front_token_ = 1;
 };
 
 /// The NIC of one server on the socket backend. Regions and queue pairs
@@ -150,12 +154,13 @@ class SocketNic : public rdma::Nic {
   std::vector<std::unique_ptr<rdma::MemoryRegion>> retained_mrs_;
 };
 
-/// The socket-backed fabric: one listening TCP socket, one epoll worker
-/// pool, and the loop-side routing tables gluing frames back to queue
-/// pairs. NicAt() hands out SocketNics, so the whole construction the
-/// deterministic stack performs — fabric → NIC → regions/QPs — builds a
-/// real networked process instead of a simulated one, with no caller
-/// changes (DESIGN.md §13).
+/// The socket-backed fabric: one epoll worker pool carrying every queue
+/// pair stream of this process, one listening TCP socket for streams
+/// dialed from other processes, and the loop-side routing tables gluing
+/// frames back to queue pairs. NicAt() hands out SocketNics, so the
+/// whole construction the deterministic stack performs — fabric → NIC →
+/// regions/QPs — builds a real networked process instead of a simulated
+/// one, with no caller changes (DESIGN.md §13).
 class SocketFabric : public rdma::Fabric {
  public:
   struct Options {
@@ -228,7 +233,7 @@ class SocketFabric : public rdma::Fabric {
   void HandleIncomingSend(uint64_t qp_token, WorkerPool::ConnId conn,
                           uint64_t op_token, std::vector<uint8_t> payload);
   void NotifyRemoteWriteOnLoop(uint32_t rkey);
-  void QpTransportClosed(uint64_t qp_token);
+  void QpTransportClosed(uint64_t qp_token, WorkerPool::ConnId conn);
 
   WallClockDriver* driver_;
   Options options_;

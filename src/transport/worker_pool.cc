@@ -2,8 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sched.h>
 #include <string.h>
 #include <sys/epoll.h>
@@ -113,8 +111,6 @@ bool WorkerPool::RunCommands(Worker& w,
 
 WorkerPool::ConnId WorkerPool::AddConnection(int fd, uint64_t bound_token) {
   SetNonBlocking(fd);
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const int worker =
       rr_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   const ConnId id = (next_conn_.fetch_add(1, std::memory_order_relaxed) << 8) |

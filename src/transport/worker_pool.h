@@ -22,8 +22,8 @@ namespace redy::transport {
 /// crucially — the one-sided responder work for frames arriving on its
 /// connections happen on that thread, never on the application loop.
 /// Connections are assigned round-robin at add time and never migrate,
-/// so per-connection state needs no locking and TCP's FIFO delivery
-/// survives as the QP's in-order guarantee.
+/// so per-connection state needs no locking and the stream's FIFO
+/// delivery survives as the QP's in-order guarantee.
 ///
 /// Each worker runs in passes: run the commands other threads posted,
 /// handle the ready sockets (parsing frames and running the responder),

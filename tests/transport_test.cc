@@ -1,9 +1,11 @@
 // Tests of the real-transport backend (DESIGN.md §13): the wall-clock
 // driver's park/wake arm, and a slice of the rdma_test.cc /
 // redy_cache_test.cc surface parameterized over BOTH backends — the
-// deterministic simulator and the socket-loopback transport — so the
-// verbs contract (data movement, in-order completions, queue depth,
-// epoch fencing, error flushes) is pinned to be backend-independent.
+// deterministic simulator and the socket transport, whose queue pairs
+// run over an in-process socketpair or, as across processes, over TCP —
+// so the verbs contract (data movement, in-order completions, queue
+// depth, epoch fencing, error flushes) is pinned to be
+// backend-independent.
 // Everything here is bounded to a few wall-clock seconds: this file is
 // the tier-1 loopback smoke test.
 #include <gtest/gtest.h>
@@ -201,18 +203,27 @@ TEST(WorkerPoolTest, SendsRacingTheParkAllArriveInOrder) {
 
 // ---------------------------------------------------------------------------
 // Backend-parameterized verbs tests (satellite: the same contract slice
-// runs on the simulator and over real loopback sockets).
+// runs on the simulator and over real sockets).
 
-enum class Backend { kSim, kSocket };
+/// kSocket joins client and server queue pairs in one fabric, so they
+/// share a socketpair. kSocketTcp puts the server in a second fabric
+/// and connects through a remote endpoint descriptor, so every frame
+/// crosses loopback TCP exactly as between two processes.
+enum class Backend { kSim, kSocket, kSocketTcp };
 
-/// Uniform driver for both worlds. Run() executes a functor in the
+/// Uniform driver for all worlds. Run() executes a functor in the
 /// backend's single-threaded context (inline for the simulator, on the
 /// loop thread for the socket backend); Await() pumps the backend until
 /// the predicate holds.
 class BackendHarness {
  public:
   virtual ~BackendHarness() = default;
-  virtual rdma::Fabric& fabric() = 0;
+  virtual rdma::Fabric& client_fabric() = 0;
+  virtual rdma::Fabric& server_fabric() { return client_fabric(); }
+  /// Connects a client-fabric QP to a server-fabric QP. Loop thread.
+  virtual Status Connect(QueuePair* cq, QueuePair* sq) {
+    return cq->Connect(sq);
+  }
   virtual void Run(const std::function<void()>& fn) = 0;
   virtual bool Await(const std::function<bool()>& pred) = 0;
 };
@@ -220,7 +231,7 @@ class BackendHarness {
 class SimHarness : public BackendHarness {
  public:
   SimHarness() : fabric_(&sim_, net::Topology(2, 2, 4)) {}
-  rdma::Fabric& fabric() override { return fabric_; }
+  rdma::Fabric& client_fabric() override { return fabric_; }
   void Run(const std::function<void()>& fn) override { fn(); }
   bool Await(const std::function<bool()>& pred) override {
     sim_.Run();
@@ -234,21 +245,38 @@ class SimHarness : public BackendHarness {
 
 class SocketHarness : public BackendHarness {
  public:
-  SocketHarness() : driver_(&sim_) {
+  explicit SocketHarness(bool tcp) : driver_(&sim_) {
     driver_.Start();
     driver_.Call([&] {
       SocketFabric::Options opts;
       opts.workers = 2;
       fabric_ = std::make_unique<SocketFabric>(
           &sim_, &driver_, net::Topology(2, 2, 4), net::FabricParams{}, opts);
+      if (tcp) {
+        server_ = std::make_unique<SocketFabric>(
+            &sim_, &driver_, net::Topology(2, 2, 4), net::FabricParams{},
+            opts);
+      }
     });
   }
   ~SocketHarness() override {
     fabric_->ShutdownTransport();
+    if (server_) server_->ShutdownTransport();
     driver_.Stop();
+    server_.reset();
     fabric_.reset();
   }
-  rdma::Fabric& fabric() override { return *fabric_; }
+  rdma::Fabric& client_fabric() override { return *fabric_; }
+  rdma::Fabric& server_fabric() override {
+    return server_ ? *server_ : *fabric_;
+  }
+  Status Connect(QueuePair* cq, QueuePair* sq) override {
+    if (!server_) return cq->Connect(sq);
+    auto* nic = static_cast<transport::SocketNic*>(cq->nic());
+    return cq->Connect(nic->CreateRemoteEndpoint(
+        server_->listen_host(), server_->port(),
+        static_cast<transport::SocketQueuePair*>(sq)->token()));
+  }
   void Run(const std::function<void()>& fn) override { driver_.Call(fn); }
   bool Await(const std::function<bool()>& pred) override {
     const uint64_t deadline =
@@ -265,6 +293,7 @@ class SocketHarness : public BackendHarness {
   sim::Simulation sim_;
   WallClockDriver driver_;
   std::unique_ptr<SocketFabric> fabric_;
+  std::unique_ptr<SocketFabric> server_;  // kSocketTcp only
 };
 
 class BackendRdmaTest : public ::testing::TestWithParam<Backend> {
@@ -273,14 +302,15 @@ class BackendRdmaTest : public ::testing::TestWithParam<Backend> {
     if (GetParam() == Backend::kSim) {
       harness_ = std::make_unique<SimHarness>();
     } else {
-      harness_ = std::make_unique<SocketHarness>();
+      harness_ =
+          std::make_unique<SocketHarness>(GetParam() == Backend::kSocketTcp);
     }
     harness_->Run([&] {
-      client_nic_ = harness_->fabric().NicAt(0);
-      server_nic_ = harness_->fabric().NicAt(1);
+      client_nic_ = harness_->client_fabric().NicAt(0);
+      server_nic_ = harness_->server_fabric().NicAt(1);
       cqp_ = client_nic_->CreateQueuePair(16);
       sqp_ = server_nic_->CreateQueuePair(16);
-      connect_ok_ = cqp_->Connect(sqp_).ok();
+      connect_ok_ = harness_->Connect(cqp_, sqp_).ok();
       local_ = client_nic_->RegisterMemory(64 * kKiB);
       remote_ = server_nic_->RegisterMemory(64 * kKiB);
     });
@@ -437,42 +467,13 @@ TEST_P(BackendRdmaTest, WritesLargerThanTheSocketBufferCompleteInOrder) {
             0);
 }
 
-TEST_P(BackendRdmaTest, BothEndsCanPostAsSoonAsConnectReturns) {
-  // On the socket backend the listener-side QP learns its stream only
-  // when the dialer's kConnect frame reaches the loop, after Connect()
-  // has returned. A post it makes before then must wait for the stream
-  // (a cache server may answer a batch that early), not fail.
-  const char msg[] = "posted before the stream was bound";
-  std::memcpy(remote_->data(), msg, sizeof(msg));
-  QueuePair* sq = nullptr;
-  bool posted = false;
-  harness_->Run([&] {
-    QueuePair* cq = client_nic_->CreateQueuePair(4);
-    sq = server_nic_->CreateQueuePair(4);
-    EXPECT_TRUE(cq->Connect(sq).ok());
-    posted = sq->PostWrite(5, remote_, 0, local_->remote_key(), 512,
-                           sizeof(msg))
-                 .ok();
-  });
-  ASSERT_TRUE(posted);
-  WorkCompletion wc;
-  bool got = false;
-  ASSERT_TRUE(harness_->Await([&] {
-    if (!got && sq->send_cq().Poll(&wc, 1) == 1) got = true;
-    return got;
-  }));
-  EXPECT_EQ(wc.wr_id, 5u);
-  EXPECT_EQ(wc.status, StatusCode::kOk);
-  EXPECT_EQ(std::memcmp(local_->data() + 512, msg, sizeof(msg)), 0);
-}
-
 TEST_P(BackendRdmaTest, QueueDepthIsEnforced) {
   int accepted = 0;
   QueuePair* qp4 = nullptr;
   harness_->Run([&] {
     qp4 = client_nic_->CreateQueuePair(4);
     QueuePair* sqp4 = server_nic_->CreateQueuePair(4);
-    EXPECT_TRUE(qp4->Connect(sqp4).ok());
+    EXPECT_TRUE(harness_->Connect(qp4, sqp4).ok());
     for (int i = 0; i < 10; i++) {
       if (qp4->PostWrite(i, local_, 0, remote_->remote_key(), 0, 8).ok()) {
         accepted++;
@@ -569,25 +570,35 @@ TEST_P(BackendRdmaTest, SendRecvDeliversToPostedBuffer) {
   EXPECT_EQ(std::memcmp(remote_->data(), msg, sizeof(msg)), 0);
 }
 
-TEST_P(BackendRdmaTest, NicFailureFlushesInFlightOps) {
+TEST_P(BackendRdmaTest, SendThenWritesCompleteInPostOrder) {
+  // The receiver's loop acks a SEND while the responder's worker acks a
+  // WRITE, so on the socket backend the WRITE acks can overtake the
+  // SEND's. Completions must still come back in post order.
+  const char msg[] = "sent before the writes";
+  std::memcpy(local_->data(), msg, sizeof(msg));
+  for (int i = 0; i < 32; i++) local_->data()[1024 + i] = 0x40 + i;
   harness_->Run([&] {
-    for (int i = 0; i < 4; i++) {
-      EXPECT_TRUE(
-          cqp_->PostWrite(i, local_, 0, remote_->remote_key(), 0, 8).ok());
+    EXPECT_TRUE(sqp_->PostRecv(100, remote_, 0, 4096).ok());
+    EXPECT_TRUE(cqp_->PostSend(1, local_, 0, sizeof(msg)).ok());
+    for (uint64_t k = 0; k < 4; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(2 + k, local_, 1024 + 8 * k,
+                                  remote_->remote_key(), 8192 + 8 * k, 8)
+                      .ok());
     }
-    server_nic_->Fail();
+    // Hold the loop, which must run the receiver's side of the SEND, so
+    // the WRITE acks surely reach the initiator first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
-  auto wcs = DrainN(4);
-  ASSERT_EQ(wcs.size(), 4u);
-  for (const auto& wc : wcs) {
-    EXPECT_EQ(wc.status, StatusCode::kUnavailable);
+  auto wcs = DrainN(5);
+  ASSERT_EQ(wcs.size(), 5u);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1) << "completion " << i;
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+    EXPECT_EQ(wcs[i].opcode,
+              i == 0 ? rdma::Opcode::kSend : rdma::Opcode::kWrite);
   }
-  bool reposted = true;
-  harness_->Run([&] {
-    reposted =
-        cqp_->PostWrite(9, local_, 0, remote_->remote_key(), 0, 8).ok();
-  });
-  EXPECT_FALSE(reposted);
+  EXPECT_EQ(std::memcmp(remote_->data(), msg, sizeof(msg)), 0);
+  EXPECT_EQ(std::memcmp(remote_->data() + 8192, local_->data() + 1024, 32), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -797,11 +808,115 @@ TEST_P(BackendRdmaTest, ChainRejectsMalformedDescriptors) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// Tests that need both queue pairs in one process, so they run on the
+// simulator and the socketpair backend but not over TCP:
+// - BothEndsCanPostAsSoonAsConnectReturns: over TCP the server QP
+//   learns its stream only when the dialer's kConnect frame reaches its
+//   loop, after Connect() has returned.
+// - NicFailureFlushesInFlightOps: a failing server NIC breaks the client
+//   QP through the in-process peer linkage; over TCP the client learns
+//   of it only when the stream closes, racing the writes' acks.
+// - ConnectingToAConnectedPeerFailsAtOnce: only an in-process Connect
+//   can see the peer's state; a remote dial is refused by the peer's
+//   process after Connect() has returned.
+
+class InProcessRdmaTest : public BackendRdmaTest {};
+
+TEST_P(InProcessRdmaTest, BothEndsCanPostAsSoonAsConnectReturns) {
+  // The peer may post the moment Connect() returns (a cache server may
+  // answer a batch that early): on the socket backend Connect binds
+  // both ends of the socketpair before returning.
+  const char msg[] = "posted right after Connect";
+  std::memcpy(remote_->data(), msg, sizeof(msg));
+  QueuePair* sq = nullptr;
+  bool posted = false;
+  harness_->Run([&] {
+    QueuePair* cq = client_nic_->CreateQueuePair(4);
+    sq = server_nic_->CreateQueuePair(4);
+    EXPECT_TRUE(cq->Connect(sq).ok());
+    posted = sq->PostWrite(5, remote_, 0, local_->remote_key(), 512,
+                           sizeof(msg))
+                 .ok();
+  });
+  ASSERT_TRUE(posted);
+  WorkCompletion wc;
+  bool got = false;
+  ASSERT_TRUE(harness_->Await([&] {
+    if (!got && sq->send_cq().Poll(&wc, 1) == 1) got = true;
+    return got;
+  }));
+  EXPECT_EQ(wc.wr_id, 5u);
+  EXPECT_EQ(wc.status, StatusCode::kOk);
+  EXPECT_EQ(std::memcmp(local_->data() + 512, msg, sizeof(msg)), 0);
+}
+
+TEST_P(InProcessRdmaTest, NicFailureFlushesInFlightOps) {
+  harness_->Run([&] {
+    for (int i = 0; i < 4; i++) {
+      EXPECT_TRUE(
+          cqp_->PostWrite(i, local_, 0, remote_->remote_key(), 0, 8).ok());
+    }
+    server_nic_->Fail();
+  });
+  auto wcs = DrainN(4);
+  ASSERT_EQ(wcs.size(), 4u);
+  for (const auto& wc : wcs) {
+    EXPECT_EQ(wc.status, StatusCode::kUnavailable);
+  }
+  bool reposted = true;
+  harness_->Run([&] {
+    reposted =
+        cqp_->PostWrite(9, local_, 0, remote_->remote_key(), 0, 8).ok();
+  });
+  EXPECT_FALSE(reposted);
+}
+
+TEST_P(InProcessRdmaTest, ConnectingToAConnectedPeerFailsAtOnce) {
+  // Connect() itself refuses a second QP dialing an already-connected
+  // peer, and the established pair keeps moving bytes both ways.
+  Status st;
+  harness_->Run([&] {
+    QueuePair* intruder = client_nic_->CreateQueuePair(4);
+    st = intruder->Connect(sqp_);
+  });
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  std::memset(local_->data(), 0x11, 8);
+  std::memset(remote_->data() + 64, 0x22, 8);
+  bool posted = false;
+  harness_->Run([&] {
+    posted = cqp_->PostWrite(1, local_, 0, remote_->remote_key(), 0, 8).ok() &&
+             sqp_->PostWrite(2, remote_, 64, local_->remote_key(), 64, 8).ok();
+  });
+  ASSERT_TRUE(posted);
+  auto wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kOk);
+  WorkCompletion swc;
+  ASSERT_TRUE(
+      harness_->Await([&] { return sqp_->send_cq().Poll(&swc, 1) == 1; }));
+  EXPECT_EQ(swc.status, StatusCode::kOk);
+  EXPECT_EQ(remote_->data()[0], 0x11);
+  EXPECT_EQ(local_->data()[64], 0x22);
+}
+
 std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
-  return info.param == Backend::kSim ? "Sim" : "SocketLoopback";
+  switch (info.param) {
+    case Backend::kSim:
+      return "Sim";
+    case Backend::kSocket:
+      return "SocketLoopback";
+    case Backend::kSocketTcp:
+      return "SocketTcp";
+  }
+  return "";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendRdmaTest,
+                         ::testing::Values(Backend::kSim, Backend::kSocket,
+                                           Backend::kSocketTcp),
+                         BackendName);
+INSTANTIATE_TEST_SUITE_P(Backends, InProcessRdmaTest,
                          ::testing::Values(Backend::kSim, Backend::kSocket),
                          BackendName);
 
