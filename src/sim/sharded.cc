@@ -43,28 +43,20 @@ void ShardedEngine::HelperMain(uint32_t w) {
 }
 
 void ShardedEngine::DrainInbox(Partition& part) {
-  auto& buf = part.drain_buf;
-  buf.clear();
+  // Deliveries are a total order, not an arrival order: source partition,
+  // then send order. Simulation fires same-time events in scheduling
+  // order, so same-time messages fire in (source, send index) order
+  // whichever thread got where first; different times are ordered by
+  // the heap.
   for (Outbox& box : part.in) {
-    for (Msg& m : box.msgs) buf.push_back(std::move(m));
+    for (Msg& m : box.msgs) {
+      // The window invariant guarantees m.time >= the partition's clock
+      // (see the class comment's proof sketch), so At() never clamps.
+      REDY_CHECK(m.time >= part.sim.Now());
+      part.sim.At(m.time, std::move(m.fn));
+    }
     box.msgs.clear();
   }
-  if (buf.empty()) return;
-  // Deliveries are a total order, not an arrival order: sorting by
-  // (time, source partition, outbox sequence) makes the destination's
-  // schedule independent of which thread got where first.
-  std::sort(buf.begin(), buf.end(), [](const Msg& a, const Msg& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
-  });
-  for (auto& m : buf) {
-    // The window invariant guarantees m.time >= the partition's clock
-    // (see the class comment's proof sketch), so At() never clamps.
-    REDY_CHECK(m.time >= part.sim.Now());
-    part.sim.At(m.time, std::move(m.fn));
-  }
-  buf.clear();
 }
 
 void ShardedEngine::PickWindow() {
@@ -138,7 +130,7 @@ uint64_t ShardedEngine::events_executed() const {
 uint64_t ShardedEngine::messages_sent() const {
   uint64_t total = 0;
   for (const auto& p : parts_) {
-    for (const Outbox& box : p->in) total += box.seq;
+    for (const Outbox& box : p->in) total += box.sent;
   }
   return total;
 }

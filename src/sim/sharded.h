@@ -28,10 +28,9 @@ namespace redy::sim {
 /// (source, destination) pair. Partitions advance in rounds under a
 /// conservative lookahead window:
 ///
-///   1. Drain: every partition empties its inbound outboxes, sorting
-///      messages by (arrival time, source partition, outbox sequence)
-///      before scheduling them, then reports its earliest pending
-///      event time.
+///   1. Drain: every partition schedules its inbound outboxes' messages
+///      in source-partition order, each outbox in send order, then
+///      reports its earliest pending event time.
 ///   2. Window: with `m` = the global minimum of those times and `L`
 ///      the lookahead, every partition runs its events up to
 ///      `U = min(target, m + L)` in parallel.
@@ -99,8 +98,8 @@ class ShardedEngine {
     }
     REDY_CHECK(t >= parts_[src]->sim.Now() + lookahead_);
     Outbox& box = parts_[dst]->in[src];
-    box.msgs.push_back(
-        Msg{t, box.seq++, src, InlineFunction(std::forward<F>(fn))});
+    box.msgs.push_back(Msg{t, InlineFunction(std::forward<F>(fn))});
+    box.sent++;
   }
 
   /// Runs every partition to exactly `until` (each partition's Now()
@@ -118,12 +117,9 @@ class ShardedEngine {
   uint64_t barrier_wait_ns(uint32_t w) const { return slots_[w].wait_ns; }
 
  private:
-  /// One cross-partition message. `seq` is the per-outbox send index;
-  /// (time, src, seq) totally orders deliveries into a partition.
+  /// One cross-partition message.
   struct Msg {
     SimTime time = 0;
-    uint64_t seq = 0;
-    uint32_t src = 0;
     InlineFunction fn;
   };
 
@@ -134,14 +130,13 @@ class ShardedEngine {
   /// vector keeps its capacity, so a steady pair stops allocating.
   struct Outbox {
     std::vector<Msg> msgs;
-    uint64_t seq = 0;  // messages ever sent
+    uint64_t sent = 0;  // messages ever sent
   };
 
   struct Partition {
     Simulation sim;
     /// Inbound outboxes indexed by source partition (self unused).
     std::vector<Outbox> in;
-    std::vector<Msg> drain_buf;  // consumer scratch, reused per round
   };
 
   /// Per-worker round state, each on its own cache line: the drain

@@ -139,12 +139,36 @@ Status SocketQueuePair::CheckSendable() const {
   return Status::OK();
 }
 
-void SocketQueuePair::Issue(PendingOp op, std::vector<uint8_t> frame) {
+void SocketQueuePair::Park(PendingOp op) {
   pending_.push_back(std::move(op));
   next_op_token_++;
   outstanding_++;
   nic()->CountWqePosted();
+}
+
+void SocketQueuePair::Issue(PendingOp op, std::vector<uint8_t> frame) {
+  Park(std::move(op));
   fab_->pool().Send(conn_, std::move(frame));
+}
+
+bool SocketQueuePair::MayWriteBeforeRead(uint32_t rkey, uint64_t offset,
+                                         uint64_t len) const {
+  for (size_t i = 0; i < pending_.size(); i++) {
+    const PendingOp& op = pending_[i];
+    if (op.done) continue;  // acked, so its bytes have landed
+    if (op.opcode == rdma::Opcode::kWrite && op.rkey == rkey &&
+        op.remote_offset < offset + len && offset < op.remote_offset + op.len) {
+      return true;
+    }
+    if (op.opcode == rdma::Opcode::kChain &&
+        std::any_of(op.chain_hops.begin(), op.chain_hops.end(),
+                    [](const ChainHopWire& w) {
+                      return (w.flags & ChainHopWire::kIsWrite) != 0;
+                    })) {
+      return true;
+    }
+  }
+  return false;
 }
 
 Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
@@ -162,9 +186,10 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   h.offset = remote_offset;
   // Snapshot at post time (verbs semantics): the frame owns its bytes,
   // so the caller may scribble over the source immediately.
-  Issue(PendingOp{wr_id, rdma::Opcode::kWrite, nullptr, 0,
-                  static_cast<uint32_t>(len), {}},
-        EncodeFrame(h, mr->data() + local_offset, len));
+  PendingOp op(wr_id, rdma::Opcode::kWrite, len);
+  op.rkey = key.rkey;
+  op.remote_offset = remote_offset;
+  Issue(std::move(op), EncodeFrame(h, mr->data() + local_offset, len));
   return Status::OK();
 }
 
@@ -175,6 +200,23 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   if (!mr->InBounds(local_offset, len)) {
     return Status::OutOfRange("local range outside region");
   }
+  PendingOp op(wr_id, rdma::Opcode::kRead, len);
+  op.local_offset = local_offset;
+  if (peer_ != nullptr && !MayWriteBeforeRead(key.rkey, remote_offset, len)) {
+    // Direct READ: the peer is in this process, so the loop runs the
+    // responder itself and copies straight into the landing region; no
+    // frame, no worker, no syscall. The ack still goes through the
+    // mailbox, so the op completes in post order on a later loop pass.
+    const uint8_t status =
+        static_cast<SocketQueuePair*>(peer_)->fab_->SnapshotRead(
+            key.rkey, remote_offset, len, mr->data() + local_offset);
+    const uint64_t op_token = next_op_token_;
+    Park(std::move(op));
+    fab_->driver()->Post([fab = fab_, qp = token_, op_token, status] {
+      fab->DeliverAck(qp, op_token, status, 0, {});
+    });
+    return Status::OK();
+  }
   FrameHeader h;
   h.type = static_cast<uint8_t>(FrameType::kRead);
   h.rkey = key.rkey;
@@ -182,9 +224,8 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   h.token = next_op_token_;
   h.offset = remote_offset;
   h.aux = len;
-  Issue(PendingOp{wr_id, rdma::Opcode::kRead, mr, local_offset,
-                  static_cast<uint32_t>(len), {}},
-        EncodeFrame(h, nullptr, 0));
+  op.landing_key = mr->remote_key().rkey;
+  Issue(std::move(op), EncodeFrame(h, nullptr, 0));
   return Status::OK();
 }
 
@@ -197,8 +238,7 @@ Status SocketQueuePair::PostSend(uint64_t wr_id, const rdma::MemoryRegion* mr,
   FrameHeader h;
   h.type = static_cast<uint8_t>(FrameType::kSend);
   h.token = next_op_token_;
-  Issue(PendingOp{wr_id, rdma::Opcode::kSend, nullptr, 0,
-                  static_cast<uint32_t>(len), {}},
+  Issue(PendingOp(wr_id, rdma::Opcode::kSend, len),
         EncodeFrame(h, mr->data() + local_offset, len));
   return Status::OK();
 }
@@ -255,9 +295,10 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
   h.token = next_op_token_;
   h.aux = num_hops;
   nic()->CountChainPosted();
-  Issue(PendingOp{wr_id, rdma::Opcode::kChain, mr, 0,
-                  static_cast<uint32_t>(total_read), std::move(desc)},
-        EncodeFrame(h, body.data(), body.size()));
+  PendingOp op(wr_id, rdma::Opcode::kChain, total_read);
+  if (total_read != 0) op.landing_key = mr->remote_key().rkey;
+  op.chain_hops = std::move(desc);
+  Issue(std::move(op), EncodeFrame(h, body.data(), body.size()));
   return Status::OK();
 }
 
@@ -270,31 +311,32 @@ void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
   }
   PendingOp& op = pending_[op_token - front_token_];
   if (op.done) return;
-  if (op.opcode == rdma::Opcode::kRead && status == StatusCode::kOk) {
-    if (payload.size() == op.len && op.mr->InBounds(op.local_offset, op.len)) {
-      std::memcpy(op.mr->data() + op.local_offset, payload.data(), op.len);
-    } else {
+  if (status == StatusCode::kOk && op.landing_key != 0) {
+    // Land only in a region that is still registered: deregistration
+    // frees the storage at once.
+    const Result<rdma::MemoryRegion*> dst = nic()->Resolve(
+        rdma::RemoteKey{op.landing_key, 0}, /*check_epoch=*/false);
+    if (!dst.ok()) {
+      status = StatusCode::kProtectionError;
+    } else if (payload.size() != op.len) {
       status = StatusCode::kAborted;
+    } else if (op.opcode == rdma::Opcode::kRead) {
+      std::memcpy((*dst)->data() + op.local_offset, payload.data(), op.len);
+    } else {
+      // Scatter the concatenated read payloads to each read hop's local
+      // landing offset, in hop order.
+      const uint8_t* from = payload.data();
+      for (const ChainHopWire& w : op.chain_hops) {
+        if (w.flags & ChainHopWire::kIsWrite) continue;
+        std::memcpy((*dst)->data() + w.local_offset, from, w.len);
+        from += w.len;
+      }
     }
   }
   if (op.opcode == rdma::Opcode::kChain) {
     // Mirror the sim's counter placement: hops/aborts accrue on the
     // initiator NIC. `aux` is the responder's executed-hop count.
     for (uint64_t i = 0; i < aux; i++) nic()->CountChainHop();
-    if (status == StatusCode::kOk) {
-      if (payload.size() == op.len) {
-        // Scatter the concatenated read payloads to each read hop's
-        // local landing offset, in hop order.
-        const uint8_t* from = payload.data();
-        for (const ChainHopWire& w : op.chain_hops) {
-          if (w.flags & ChainHopWire::kIsWrite) continue;
-          std::memcpy(op.mr->data() + w.local_offset, from, w.len);
-          from += w.len;
-        }
-      } else {
-        status = StatusCode::kAborted;
-      }
-    }
     if (status != StatusCode::kOk) {
       // A poisoned chain lands nothing: one error completion, zero
       // bytes (the responder never shipped any payload past the fault).
@@ -328,6 +370,9 @@ StatusCode SocketQueuePair::AcceptIncomingSend(
   }
   const PostedRecv rv = posted_recvs_.front();
   posted_recvs_.pop_front();
+  if (!static_cast<SocketNic*>(nic())->Holds(rv.mr)) {
+    return StatusCode::kProtectionError;
+  }
   if (payload.size() > rv.capacity ||
       !rv.mr->InBounds(rv.offset, payload.size())) {
     return StatusCode::kOutOfRange;
@@ -388,6 +433,11 @@ SocketNic::SocketNic(sim::Simulation* sim, SocketFabric* fabric,
                      net::ServerId server)
     : rdma::Nic(sim, fabric, server), fab_(fabric) {}
 
+bool SocketNic::Holds(const rdma::MemoryRegion* mr) const {
+  return std::any_of(regions_.begin(), regions_.end(),
+                     [mr](const auto& r) { return r.second.get() == mr; });
+}
+
 SocketNic::~SocketNic() {
   // Pull our regions out of the responder table before their storage
   // goes away. The fabric stops the worker pool before destroying NICs,
@@ -410,17 +460,11 @@ void SocketNic::DeregisterMemory(rdma::MemoryRegion* mr) {
   const uint32_t key = mr->remote_key().rkey;
   auto it = regions_.find(key);
   if (it == regions_.end()) return;
-  // Order matters: first fence new lookups and drain in-flight applies,
-  // then invalidate. A responder either resolved before the erase (and
-  // finishes under the apply mutex against still-owned storage) or
-  // fails the lookup.
+  // Once RemoveSharedMr returns, no responder can touch the region, and
+  // pending READs and chains resolve their landing region again at
+  // completion, so the storage can go at once.
   fab_->RemoveSharedMr(key);
-  mr->Invalidate();
   registered_bytes_ -= mr->size();
-  // Unlike the simulated NIC's grace-window queue, retain the storage
-  // for the NIC's lifetime: a worker that resolved before the erase may
-  // still be touching the bytes, and region churn is not a hot path.
-  retained_mrs_.push_back(std::move(it->second));
   regions_.erase(it);
 }
 
@@ -549,31 +593,32 @@ uint64_t SocketFabric::RegisterQp(SocketQueuePair* qp) {
 void SocketFabric::UnregisterQp(uint64_t token) { qp_registry_.erase(token); }
 
 void SocketFabric::AddSharedMr(uint32_t rkey, rdma::MemoryRegion* mr) {
+  auto smr = std::make_shared<SharedMr>();
+  smr->mr = mr;
   std::lock_guard<std::mutex> lk(mr_mu_);
-  shared_mrs_.emplace(rkey, SharedMr{mr, std::make_shared<std::mutex>()});
+  shared_mrs_.emplace(rkey, std::move(smr));
 }
 
 void SocketFabric::RemoveSharedMr(uint32_t rkey) {
-  std::shared_ptr<std::mutex> apply_mu;
+  std::shared_ptr<SharedMr> smr;
   {
     std::lock_guard<std::mutex> lk(mr_mu_);
     auto it = shared_mrs_.find(rkey);
     if (it == shared_mrs_.end()) return;
-    apply_mu = it->second.apply_mu;
+    smr = std::move(it->second);
     shared_mrs_.erase(it);
   }
-  // Quiesce: any responder that looked up this rkey before the erase
-  // holds the apply mutex while touching the region; taking it once
-  // guarantees those applies have finished.
-  std::lock_guard<std::mutex> drain(*apply_mu);
+  // A responder that looked this rkey up before the erase touches the
+  // region only under the apply mutex, and only while `mr` is set.
+  std::lock_guard<std::mutex> drain(smr->apply_mu);
+  smr->mr = nullptr;
 }
 
-bool SocketFabric::LookupSharedMr(uint32_t rkey, SharedMr* out) {
+std::shared_ptr<SocketFabric::SharedMr> SocketFabric::LookupSharedMr(
+    uint32_t rkey) {
   std::lock_guard<std::mutex> lk(mr_mu_);
   auto it = shared_mrs_.find(rkey);
-  if (it == shared_mrs_.end()) return false;
-  *out = it->second;
-  return true;
+  return it == shared_mrs_.end() ? nullptr : it->second;
 }
 
 void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
@@ -598,14 +643,25 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
       return;
     }
     case FrameType::kRead: {
-      std::vector<uint8_t> data;
-      const uint8_t status = SnapshotRead(hdr, &data);
+      // The reply is built in place: the snapshot lands right behind its
+      // header. A length past the 32-bit frame limit is out of bounds.
       FrameHeader resp;
       resp.type = static_cast<uint8_t>(FrameType::kReadResp);
-      resp.status = status;
+      resp.status = Code(StatusCode::kAborted);
       resp.token = hdr.token;
-      resp.aux = data.size();
-      pool_.Send(conn, EncodeFrame(resp, data.data(), data.size()));
+      std::vector<uint8_t> frame(sizeof(FrameHeader));
+      if (hdr.aux <= UINT32_MAX) {
+        frame.resize(sizeof(FrameHeader) + hdr.aux);
+        resp.status = SnapshotRead(hdr.rkey, hdr.offset, hdr.aux,
+                                   frame.data() + sizeof(FrameHeader));
+        if (resp.status != Code(StatusCode::kOk)) {
+          frame.resize(sizeof(FrameHeader));
+        }
+      }
+      resp.aux = resp.payload_len =
+          static_cast<uint32_t>(frame.size() - sizeof(FrameHeader));
+      std::memcpy(frame.data(), &resp, sizeof(resp));
+      pool_.Send(conn, std::move(frame));
       return;
     }
     case FrameType::kSend: {
@@ -656,13 +712,11 @@ void SocketFabric::OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token) {
 
 uint8_t SocketFabric::ApplyWrite(const FrameHeader& hdr,
                                  const std::vector<uint8_t>& payload) {
-  SharedMr smr;
-  if (!LookupSharedMr(hdr.rkey, &smr)) {
-    return Code(StatusCode::kProtectionError);
-  }
-  std::lock_guard<std::mutex> lk(*smr.apply_mu);
-  rdma::MemoryRegion* mr = smr.mr;
-  if (!mr->valid()) return Code(StatusCode::kProtectionError);
+  const std::shared_ptr<SharedMr> smr = LookupSharedMr(hdr.rkey);
+  if (smr == nullptr) return Code(StatusCode::kProtectionError);
+  std::lock_guard<std::mutex> lk(smr->apply_mu);
+  rdma::MemoryRegion* mr = smr->mr;
+  if (mr == nullptr) return Code(StatusCode::kProtectionError);
   if (hdr.epoch != mr->epoch()) {
     // Stale access epoch: the fence. Count it on the loop (telemetry
     // counters hang off loop-built NIC state).
@@ -697,20 +751,18 @@ uint8_t SocketFabric::ApplyWrite(const FrameHeader& hdr,
   return Code(StatusCode::kOk);
 }
 
-uint8_t SocketFabric::SnapshotRead(const FrameHeader& hdr,
-                                   std::vector<uint8_t>* out) {
-  SharedMr smr;
-  if (!LookupSharedMr(hdr.rkey, &smr)) {
-    return Code(StatusCode::kProtectionError);
-  }
-  std::lock_guard<std::mutex> lk(*smr.apply_mu);
-  rdma::MemoryRegion* mr = smr.mr;
+uint8_t SocketFabric::SnapshotRead(uint32_t rkey, uint64_t offset,
+                                   uint64_t len, uint8_t* dst) {
+  const std::shared_ptr<SharedMr> smr = LookupSharedMr(rkey);
+  if (smr == nullptr) return Code(StatusCode::kProtectionError);
+  std::lock_guard<std::mutex> lk(smr->apply_mu);
+  rdma::MemoryRegion* mr = smr->mr;
   // READs are deliberately not epoch-checked (revoked regions stay
   // readable until deregistration) — same contract as Nic::Resolve with
   // check_epoch=false.
-  if (!mr->valid()) return Code(StatusCode::kProtectionError);
-  if (!mr->InBounds(hdr.offset, hdr.aux)) return Code(StatusCode::kAborted);
-  out->assign(mr->data() + hdr.offset, mr->data() + hdr.offset + hdr.aux);
+  if (mr == nullptr) return Code(StatusCode::kProtectionError);
+  if (!mr->InBounds(offset, len)) return Code(StatusCode::kAborted);
+  if (len != 0) std::memcpy(dst, mr->data() + offset, len);
   return Code(StatusCode::kOk);
 }
 
@@ -729,13 +781,11 @@ uint8_t SocketFabric::ExecuteChain(const FrameHeader& hdr,
   uint64_t prev_word = 0;
   for (uint64_t i = 0; i < num_hops; i++) {
     const ChainHopWire& h = hops[i];
-    SharedMr smr;
-    if (!LookupSharedMr(h.rkey, &smr)) {
-      return Code(StatusCode::kProtectionError);
-    }
-    std::lock_guard<std::mutex> lk(*smr.apply_mu);
-    rdma::MemoryRegion* mr = smr.mr;
-    if (!mr->valid()) return Code(StatusCode::kProtectionError);
+    const std::shared_ptr<SharedMr> smr = LookupSharedMr(h.rkey);
+    if (smr == nullptr) return Code(StatusCode::kProtectionError);
+    std::lock_guard<std::mutex> lk(smr->apply_mu);
+    rdma::MemoryRegion* mr = smr->mr;
+    if (mr == nullptr) return Code(StatusCode::kProtectionError);
     if (h.epoch != mr->epoch()) {
       // Chains fence EVERY hop, reads included — same contract as the
       // simulated NIC's per-hop Resolve(check_epoch=true): a dependent
@@ -809,7 +859,7 @@ void SocketFabric::NotifyRemoteWriteOnLoop(uint32_t rkey) {
     std::lock_guard<std::mutex> lk(mr_mu_);
     auto it = shared_mrs_.find(rkey);
     if (it == shared_mrs_.end()) return;
-    mr = it->second.mr;
+    mr = it->second->mr;
   }
   // Loop thread; notifier installation/teardown is loop-side too.
   mr->NotifyRemoteWrite();

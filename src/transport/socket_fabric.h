@@ -33,6 +33,15 @@ class SocketNic;
 /// of post order; CompleteOp holds an early ack until every earlier op
 /// has completed, which keeps the RC QP's in-order completion guarantee.
 ///
+/// A READ to a peer in this process sends no frame: the loop runs the
+/// responder itself (SocketFabric::SnapshotRead on the peer's fabric),
+/// copies straight into the landing region, and posts the ack to its
+/// own driver mailbox, so the completion still arrives in post order on
+/// a later loop pass. RC ordering says a READ observes every earlier
+/// WRITE on its QP, so a READ takes the framed path instead while an
+/// earlier unacked WRITE to the same rkey overlaps its range, or an
+/// earlier chain with a write hop is unacked.
+///
 /// Connect() joins two queue pairs of this process with one AF_UNIX
 /// socketpair, each end pre-bound to its QP, so both ends are connected
 /// when it returns. A SocketQueuePair can also be a *remote endpoint
@@ -74,11 +83,22 @@ class SocketQueuePair : public rdma::QueuePair {
   friend class SocketNic;
 
   struct PendingOp {
+    PendingOp() = default;
+    PendingOp(uint64_t wr, rdma::Opcode op, uint64_t bytes)
+        : wr_id(wr), opcode(op), len(static_cast<uint32_t>(bytes)) {}
+
     uint64_t wr_id = 0;
     rdma::Opcode opcode = rdma::Opcode::kWrite;
-    rdma::MemoryRegion* mr = nullptr;  // READ/chain landing buffer
+    /// rkey of the local region a framed READ or chain lands in, 0 when
+    /// nothing lands at completion. The region may be deregistered while
+    /// the op is in flight, so completion resolves it again.
+    uint32_t landing_key = 0;
     uint64_t local_offset = 0;
     uint32_t len = 0;
+    /// kWrite only: the target, so a later READ can tell whether it
+    /// might observe this write.
+    uint32_t rkey = 0;
+    uint64_t remote_offset = 0;
     /// kChain only: the posted hop descriptors, kept so the single
     /// response's concatenated read payloads scatter back to each
     /// hop's local landing offset.
@@ -93,6 +113,11 @@ class SocketQueuePair : public rdma::QueuePair {
   /// Parks `op` under the next op token and hands its frame (encoded
   /// with that token) to the stream.
   void Issue(PendingOp op, std::vector<uint8_t> frame);
+  /// Parks `op` under the next op token, counting it as posted.
+  void Park(PendingOp op);
+  /// Whether an earlier unacked op could write bytes a READ of
+  /// [offset, offset + len) under `rkey` reads.
+  bool MayWriteBeforeRead(uint32_t rkey, uint64_t offset, uint64_t len) const;
   /// Loop-side: an ack/response frame for op `op_token` arrived. `aux`
   /// echoes the response header's aux word (executed hop count for
   /// kChainResp; unused for the other acks).
@@ -128,9 +153,11 @@ class SocketQueuePair : public rdma::QueuePair {
 /// come from a fabric-wide namespace, and every registered region is
 /// mirrored into the fabric's mutex-guarded responder table so epoll
 /// workers can resolve, fence-check, and apply one-sided ops without
-/// ever entering the loop. Deregistered regions are quiesced against
-/// in-flight responder applies and then retained until teardown, so a
-/// worker can never hold a dangling pointer.
+/// ever entering the loop. Deregistration first unlinks the region from
+/// that table, which waits out any responder still touching it, and
+/// then frees its storage at once. A framed READ or chain whose landing
+/// region is gone by completion lands nothing and fails with
+/// kProtectionError.
 class SocketNic : public rdma::Nic {
  public:
   SocketNic(sim::Simulation* sim, SocketFabric* fabric, net::ServerId server);
@@ -143,6 +170,9 @@ class SocketNic : public rdma::Nic {
   void Fail() override;
 
   SocketFabric* socket_fabric() const { return fab_; }
+  /// Whether `mr` is still registered here. Posted receives hold bare
+  /// region pointers, and deregistration frees a region at once.
+  bool Holds(const rdma::MemoryRegion* mr) const;
 
   /// Builds a remote endpoint descriptor owned by this NIC (used by the
   /// cross-process control plane to materialize ConnectionInfo).
@@ -151,7 +181,6 @@ class SocketNic : public rdma::Nic {
 
  private:
   SocketFabric* fab_;
-  std::vector<std::unique_ptr<rdma::MemoryRegion>> retained_mrs_;
 };
 
 /// The socket-backed fabric: one epoll worker pool carrying every queue
@@ -187,11 +216,13 @@ class SocketFabric : public rdma::Fabric {
   WallClockDriver* driver() const { return driver_; }
   WorkerPool& pool() { return pool_; }
 
-  /// Responder-visible view of one registered region: the region plus
-  /// the apply mutex serializing worker-side deposits/snapshots.
+  /// Responder-table entry of one registered region. RemoveSharedMr
+  /// clears `mr` under `apply_mu`, and every responder checks it under
+  /// the mutex, so once RemoveSharedMr returns nothing off the loop can
+  /// touch the region.
   struct SharedMr {
+    std::mutex apply_mu;
     rdma::MemoryRegion* mr = nullptr;
-    std::shared_ptr<std::mutex> apply_mu;
   };
 
   // --- loop-side registries (application loop thread only) ---
@@ -201,10 +232,10 @@ class SocketFabric : public rdma::Fabric {
 
   // --- responder table (any thread) ---
   void AddSharedMr(uint32_t rkey, rdma::MemoryRegion* mr);
-  /// Erases the rkey and drains any in-flight responder apply, so the
-  /// caller may retire the region's storage.
+  /// Erases the rkey, waits out any in-flight responder and clears the
+  /// entry's region pointer, so the caller may free the region's storage.
   void RemoveSharedMr(uint32_t rkey);
-  bool LookupSharedMr(uint32_t rkey, SharedMr* out);
+  std::shared_ptr<SharedMr> LookupSharedMr(uint32_t rkey);
 
  private:
   friend class SocketQueuePair;
@@ -217,8 +248,13 @@ class SocketFabric : public rdma::Fabric {
   /// Worker-side one-sided responder: fence check + deposit.
   uint8_t ApplyWrite(const FrameHeader& hdr,
                      const std::vector<uint8_t>& payload);
-  /// Worker-side one-sided responder: validity/bounds check + snapshot.
-  uint8_t SnapshotRead(const FrameHeader& hdr, std::vector<uint8_t>* out);
+  /// The READ responder, for the worker's framed reply and the loop's
+  /// direct READ alike: resolves `rkey`, checks it is still registered
+  /// and the range is in bounds (no epoch check), and copies `len` bytes
+  /// to `dst`, all under the region's apply mutex. Nothing is written to
+  /// `dst` unless it returns kOk.
+  uint8_t SnapshotRead(uint32_t rkey, uint64_t offset, uint64_t len,
+                       uint8_t* dst);
   /// Worker-side chain responder: executes every hop in order with the
   /// per-hop fence, appending read payloads to `out`; `hops_done`
   /// reports how many hops ran before success/abort.
@@ -247,7 +283,7 @@ class SocketFabric : public rdma::Fabric {
 
   // Worker-shared responder table.
   std::mutex mr_mu_;
-  std::unordered_map<uint32_t, SharedMr> shared_mrs_;
+  std::unordered_map<uint32_t, std::shared_ptr<SharedMr>> shared_mrs_;
 };
 
 }  // namespace redy::transport

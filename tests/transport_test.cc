@@ -14,8 +14,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -544,12 +546,77 @@ TEST_P(BackendRdmaTest, RemoteOutOfBoundsAborts) {
   bool posted = false;
   harness_->Run([&] {
     tiny = server_nic_->RegisterMemory(128);
-    posted = cqp_->PostWrite(1, local_, 0, tiny->remote_key(), 120, 64).ok();
+    posted = cqp_->PostWrite(1, local_, 0, tiny->remote_key(), 120, 64).ok() &&
+             cqp_->PostRead(2, local_, 0, tiny->remote_key(), 120, 64).ok();
+  });
+  ASSERT_TRUE(posted);
+  auto wcs = DrainN(2);
+  ASSERT_EQ(wcs.size(), 2u);
+  EXPECT_EQ(wcs[0].opcode, rdma::Opcode::kWrite);
+  EXPECT_EQ(wcs[0].status, StatusCode::kAborted);
+  EXPECT_EQ(wcs[1].opcode, rdma::Opcode::kRead);
+  EXPECT_EQ(wcs[1].status, StatusCode::kAborted);
+}
+
+TEST_P(BackendRdmaTest, ReadOfDeregisteredRegionIsProtectionError) {
+  bool posted = false;
+  harness_->Run([&] {
+    MemoryRegion* gone = server_nic_->RegisterMemory(4096);
+    const rdma::RemoteKey key = gone->remote_key();
+    server_nic_->DeregisterMemory(gone);
+    posted = cqp_->PostRead(1, local_, 0, key, 0, 64).ok();
   });
   ASSERT_TRUE(posted);
   auto wcs = DrainN(1);
   ASSERT_EQ(wcs.size(), 1u);
-  EXPECT_EQ(wcs[0].status, StatusCode::kAborted);
+  EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
+}
+
+TEST_P(BackendRdmaTest, ReadAfterOverlappingWriteSeesTheWrite) {
+  // RC ordering: a READ observes every earlier WRITE on its QP. On the
+  // socketpair backend the READ would otherwise run on the loop at post
+  // time, before the WRITE's frame has even left.
+  if (GetParam() == Backend::kSim) {
+    GTEST_SKIP() << "the simulated fabric lets a header-only READ overtake "
+                    "an earlier WRITE (see CompletionsArriveInPostOrder)";
+  }
+  // Each pair writes 64 B at slot k and reads 64 B starting halfway into
+  // it, so a read returns 32 written bytes and then 32 old ones.
+  constexpr uint64_t kPairs = 8;
+  constexpr uint64_t kSlot = 1024;
+  constexpr uint64_t kReadBack = 32 * kKiB;
+  for (uint64_t i = 0; i < kPairs * kSlot; i++) {
+    local_->data()[i] = static_cast<uint8_t>(i * 7 + 1);
+    remote_->data()[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  std::vector<uint8_t> want(kPairs * 64);
+  for (uint64_t k = 0; k < kPairs; k++) {
+    std::memcpy(want.data() + k * 64, local_->data() + k * kSlot + 32, 32);
+    std::memcpy(want.data() + k * 64 + 32, remote_->data() + k * kSlot + 64,
+                32);
+  }
+  harness_->Run([&] {
+    for (uint64_t k = 0; k < kPairs; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(2 * k + 1, local_, k * kSlot,
+                                  remote_->remote_key(), k * kSlot, 64)
+                      .ok());
+      EXPECT_TRUE(cqp_->PostRead(2 * k + 2, local_, kReadBack + k * 64,
+                                 remote_->remote_key(), k * kSlot + 32, 64)
+                      .ok());
+    }
+  });
+  auto wcs = DrainN(2 * kPairs);
+  ASSERT_EQ(wcs.size(), 2 * kPairs);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+  }
+  for (uint64_t k = 0; k < kPairs; k++) {
+    EXPECT_EQ(std::memcmp(local_->data() + kReadBack + k * 64,
+                          want.data() + k * 64, 64),
+              0)
+        << "read " << k << " missed the write before it";
+  }
 }
 
 TEST_P(BackendRdmaTest, SendRecvDeliversToPostedBuffer) {
@@ -872,6 +939,37 @@ TEST_P(InProcessRdmaTest, NicFailureFlushesInFlightOps) {
   EXPECT_FALSE(reposted);
 }
 
+TEST_P(InProcessRdmaTest, NicFailureFlushesReadsWhoseAcksAreQueued) {
+  // On the socketpair backend these READs run directly on the loop, so
+  // their acks already wait in the loop's mailbox when the NIC fails.
+  // Each op still completes exactly once, with kUnavailable.
+  harness_->Run([&] {
+    for (uint64_t i = 0; i < 4; i++) {
+      EXPECT_TRUE(cqp_->PostRead(i + 1, local_, 64 * i, remote_->remote_key(),
+                                 64 * i, 64)
+                      .ok());
+    }
+    server_nic_->Fail();
+  });
+  auto wcs = DrainN(4);
+  ASSERT_EQ(wcs.size(), 4u);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kUnavailable);
+  }
+  // The queued acks have run by now (the mailbox is FIFO), and none of
+  // them completed anything a second time.
+  size_t late = 0;
+  uint32_t outstanding = 1;
+  harness_->Run([&] {
+    WorkCompletion wc;
+    while (cqp_->send_cq().Poll(&wc, 1) == 1) late++;
+    outstanding = cqp_->outstanding();
+  });
+  EXPECT_EQ(late, 0u);
+  EXPECT_EQ(outstanding, 0u);
+}
+
 TEST_P(InProcessRdmaTest, ConnectingToAConnectedPeerFailsAtOnce) {
   // Connect() itself refuses a second QP dialing an already-connected
   // peer, and the established pair keeps moving bytes both ways.
@@ -918,6 +1016,64 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackendRdmaTest,
                          BackendName);
 INSTANTIATE_TEST_SUITE_P(Backends, InProcessRdmaTest,
                          ::testing::Values(Backend::kSim, Backend::kSocket),
+                         BackendName);
+
+// Over TCP every READ is framed, so its landing region can be
+// deregistered while the READ is in flight. Deregistration frees the
+// region at once, so the READ must land nothing (ASan checks that).
+class FramedReadTest : public BackendRdmaTest {};
+
+TEST_P(FramedReadTest, LandingRegionDeregisteredInFlightIsProtectionError) {
+  bool posted = false;
+  harness_->Run([&] {
+    MemoryRegion* landing = client_nic_->RegisterMemory(64 * kKiB);
+    posted = cqp_->PostRead(1, landing, 0, remote_->remote_key(), 0, 64 * kKiB)
+                 .ok();
+    client_nic_->DeregisterMemory(landing);
+  });
+  ASSERT_TRUE(posted);
+  auto wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
+  // The QP stays usable.
+  harness_->Run([&] {
+    posted = cqp_->PostRead(2, local_, 0, remote_->remote_key(), 0, 64).ok();
+  });
+  ASSERT_TRUE(posted);
+  wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kOk);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FramedReadTest,
+                         ::testing::Values(Backend::kSocketTcp), BackendName);
+
+// The socket NIC frees a deregistered region at once (the simulated NIC
+// keeps it through a grace period), so a SEND must not land in a posted
+// receive whose region has gone since.
+class SocketRdmaTest : public BackendRdmaTest {};
+
+TEST_P(SocketRdmaTest, SendIntoDeregisteredReceiveBufferFails) {
+  harness_->Run([&] {
+    MemoryRegion* rbuf = server_nic_->RegisterMemory(4096);
+    EXPECT_TRUE(sqp_->PostRecv(42, rbuf, 0, 4096).ok());
+    server_nic_->DeregisterMemory(rbuf);
+    EXPECT_TRUE(cqp_->PostSend(7, local_, 0, 64).ok());
+  });
+  auto wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
+  int recvs = -1;
+  harness_->Run([&] {
+    WorkCompletion wc;
+    recvs = sqp_->recv_cq().Poll(&wc, 1);
+  });
+  EXPECT_EQ(recvs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SocketRdmaTest,
+                         ::testing::Values(Backend::kSocket,
+                                           Backend::kSocketTcp),
                          BackendName);
 
 // ---------------------------------------------------------------------------
@@ -1107,6 +1263,70 @@ TEST_P(BackendCacheTest, IndirectReadFallbackChasesHopByHop) {
 INSTANTIATE_TEST_SUITE_P(Backends, BackendCacheTest,
                          ::testing::Values(Backend::kSim, Backend::kSocket),
                          BackendName);
+
+// Resident set size of this process in KiB, from /proc/self/status.
+uint64_t VmRssKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6));
+  }
+  return 0;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define REDY_SANITIZER_HOLDS_FREED_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define REDY_SANITIZER_HOLDS_FREED_MEMORY 1
+#endif
+#endif
+
+TEST(SocketCacheTest, LargeOneSidedReadsDoNotGrowResidentMemory) {
+#ifdef REDY_SANITIZER_HOLDS_FREED_MEMORY
+  GTEST_SKIP() << "ASan and TSan keep freed memory in quarantine, so the "
+                  "resident set cannot show regions being freed";
+#endif
+  // CacheClient stages every one-sided op above 64 KiB in a transient
+  // region it registers and deregisters around the op, so a NIC that
+  // keeps deregistered regions would grow by 1 MiB per read here.
+  constexpr uint64_t kLen = 1 * kMiB;
+  constexpr int kReads = 128;
+  LoopbackRigOptions o;
+  o.client.region_bytes = 4 * kMiB;
+  LoopbackRig rig(o);
+  Result<CacheClient::CacheId> id_or = Status::Internal("unset");
+  rig.Call([&] {
+    id_or = rig.client().CreateWithConfig(16 * kMiB, RdmaConfig{1, 0, 1, 4},
+                                          /*record_bytes=*/64);
+  });
+  ASSERT_TRUE(id_or.ok()) << id_or.status().ToString();
+  std::vector<uint8_t> out(kLen);
+  auto read_once = [&](uint64_t offset) {
+    std::atomic<bool> done{false};
+    rig.Call([&] {
+      EXPECT_TRUE(rig.client()
+                      .Read(*id_or, offset, out.data(), kLen,
+                            [&](Status st) {
+                              EXPECT_TRUE(st.ok()) << st.ToString();
+                              done.store(true, std::memory_order_release);
+                            })
+                      .ok());
+    });
+    return rig.AwaitTrue(
+        [&] { return done.load(std::memory_order_acquire); });
+  };
+  ASSERT_TRUE(read_once(0));  // warm up allocator and connection state
+  const uint64_t before = VmRssKiB();
+  for (int i = 0; i < kReads; i++) {
+    ASSERT_TRUE(read_once((i % 12) * kLen));
+  }
+  const uint64_t grown_kib = VmRssKiB() - std::min(before, VmRssKiB());
+  EXPECT_LT(grown_kib, 16 * 1024u)
+      << kReads << " reads of 1 MiB grew the resident set by "
+      << grown_kib / 1024 << " MiB";
+  rig.Call([&] { EXPECT_TRUE(rig.client().Delete(*id_or).ok()); });
+}
 
 /// Same full-stack slice with Options::chain_reads on: the whole chase
 /// is one chained doorbell on the client NIC.
