@@ -30,6 +30,7 @@
 //   --workers=<n>      shard workers for the parallel arm (default 4)
 //   --trials=<n>       best-of-N timing trials per arm (default 2)
 //   --warmup-ms=<n> / --duration-ms=<n>  simulated phases (default 6/12)
+//   --seed=<n>         campaign seed (default: FleetOptions' 42)
 //   --tenants=<n> --pods=<n> --racks=<n> --servers=<n>  fleet shape
 
 #include <algorithm>
@@ -54,18 +55,21 @@ struct ArmResult {
   uint64_t events = 0;
   uint64_t rounds = 0;
   uint64_t messages = 0;
-  /// Per worker, the share of the best trial's wall time spent waiting
-  /// in the engine's round barriers.
-  std::vector<double> wait_share;
-  /// Max over mean of the per-worker event sums, with partition p on
-  /// worker p % workers.
+  /// Per worker, the share of the best trial's wall time spent
+  /// draining inboxes, running windows and waiting in the round
+  /// barriers.
+  std::vector<double> drain_share, run_share, wait_share;
+  /// The best trial's window-phase time summed over its workers.
+  uint64_t run_ns = 0;
+  /// Max over mean of the per-worker event sums, under the engine's
+  /// partition placement.
   double imbalance = 1;
 };
 
 double EventImbalance(sim::ShardedEngine& eng) {
   std::vector<uint64_t> per_worker(eng.workers(), 0);
   for (uint32_t p = 0; p < eng.partitions(); p++) {
-    per_worker[p % eng.workers()] += eng.partition(p).events_executed();
+    per_worker[eng.WorkerOf(p)] += eng.partition(p).events_executed();
   }
   uint64_t max = 0, total = 0;
   for (uint64_t e : per_worker) {
@@ -88,10 +92,18 @@ ArmResult RunArm(const cluster::FleetOptions& base, uint32_t workers,
     auto& eng = fleet.engine();
     if (t == 0 || secs < r.secs) {
       r.secs = secs;
+      r.drain_share.clear();
+      r.run_share.clear();
       r.wait_share.clear();
+      r.run_ns = 0;
+      const auto share = [secs](uint64_t ns) {
+        return static_cast<double>(ns) / (secs * 1e9);
+      };
       for (uint32_t w = 0; w < eng.workers(); w++) {
-        r.wait_share.push_back(static_cast<double>(eng.barrier_wait_ns(w)) /
-                               (secs * 1e9));
+        r.drain_share.push_back(share(eng.drain_ns(w)));
+        r.run_share.push_back(share(eng.run_ns(w)));
+        r.wait_share.push_back(share(eng.barrier_wait_ns(w)));
+        r.run_ns += eng.run_ns(w);
       }
     }
     if (t == 0) {
@@ -147,6 +159,15 @@ void PrintSummary(const cluster::Fleet::Summary& s, double secs,
   std::printf("  wall %.2fs\n", secs);
 }
 
+/// Writes `v` as a JSON array of shares.
+void WriteShares(FILE* f, const std::vector<double>& v) {
+  std::fprintf(f, "[");
+  for (size_t i = 0; i < v.size(); i++) {
+    std::fprintf(f, "%s%.3f", i == 0 ? "" : ", ", v[i]);
+  }
+  std::fprintf(f, "]");
+}
+
 }  // namespace
 }  // namespace redy::bench
 
@@ -177,6 +198,8 @@ int main(int argc, char** argv) {
       warmup_ms = std::strtoull(a + 12, nullptr, 10);
     } else if (std::strncmp(a, "--duration-ms=", 14) == 0) {
       duration_ms = std::strtoull(a + 14, nullptr, 10);
+    } else if (std::strncmp(a, "--seed=", 7) == 0) {
+      opts.seed = std::strtoull(a + 7, nullptr, 10);
     } else if (std::strncmp(a, "--tenants=", 10) == 0) {
       opts.tenants = static_cast<uint32_t>(std::atoi(a + 10));
     } else if (std::strncmp(a, "--pods=", 7) == 0) {
@@ -200,11 +223,12 @@ int main(int argc, char** argv) {
       "Fleet campaign: rack-sharded parallel simulation",
       "Figs. 1-3 fleet statistics from served traffic; DESIGN.md 14");
   std::printf("%d servers (%d pods x %d racks x %d), %u tenants, "
-              "%llu ms simulated, %u shard workers, %u hw cores\n\n",
+              "%llu ms simulated, seed %llu, %u shard workers, %u hw "
+              "cores\n\n",
               servers, opts.pods, opts.racks_per_pod, opts.servers_per_rack,
               opts.tenants,
               static_cast<unsigned long long>(warmup_ms + duration_ms),
-              workers, hw);
+              static_cast<unsigned long long>(opts.seed), workers, hw);
 
   std::printf("[arm] single-threaded (1 worker)\n");
   const ArmResult one = RunArm(opts, 1, trials);
@@ -217,11 +241,21 @@ int main(int argc, char** argv) {
   std::printf("[arm] sharded (%u workers)\n", workers);
   const ArmResult par = RunArm(opts, workers, trials);
   PrintSummary(par.summary, par.secs, sim_ms);
-  std::printf("  barrier wait share per worker:");
-  for (const double share : par.wait_share) {
-    std::printf(" %.0f%%", 100 * share);
+  // Run inflation: the window phase's work, summed over the sharded
+  // arm's workers, over the same work on one worker. Above 1 means each
+  // event got slower when spread across threads.
+  const double run_inflation =
+      one.run_ns > 0 ? static_cast<double>(par.run_ns) /
+                           static_cast<double>(one.run_ns)
+                     : 0;
+  std::printf("  drain/run/wait share per worker:");
+  for (size_t w = 0; w < par.wait_share.size(); w++) {
+    std::printf(" w%zu %.0f/%.0f/%.0f%%", w, 100 * par.drain_share[w],
+                100 * par.run_share[w], 100 * par.wait_share[w]);
   }
-  std::printf("\n  partition-event imbalance (max/mean over workers): "
+  std::printf("\n  run inflation (summed run time vs 1 worker): %.2f\n",
+              run_inflation);
+  std::printf("  partition-event imbalance (max/mean over workers): "
               "%.2f\n\n",
               par.imbalance);
 
@@ -245,17 +279,20 @@ int main(int argc, char** argv) {
           "\"sim_ms\": %.0f, \"workers\": %u, \"cores\": %u, "
           "\"t1_secs\": %.4f, \"tn_secs\": %.4f, \"speedup\": %.3f, "
           "\"deterministic\": %d, \"events\": %llu, \"ops_ok\": %llu, "
-          "\"slo_violations\": %llu, \"wait_share\": [",
+          "\"slo_violations\": %llu, \"wait_share\": ",
           servers, opts.tenants, sim_ms, workers, hw, one.secs, par.secs,
           speedup, deterministic ? 1 : 0,
           static_cast<unsigned long long>(one.events),
           static_cast<unsigned long long>(one.summary.ops_ok),
           static_cast<unsigned long long>(one.summary.slo_violations));
-      for (size_t w = 0; w < par.wait_share.size(); w++) {
-        std::fprintf(f, "%s%.3f", w == 0 ? "" : ", ", par.wait_share[w]);
-      }
+      WriteShares(f, par.wait_share);
+      std::fprintf(f, ", \"drain_share\": ");
+      WriteShares(f, par.drain_share);
+      std::fprintf(f, ", \"run_share\": ");
+      WriteShares(f, par.run_share);
       std::fprintf(
-          f, "], \"event_imbalance\": %.3f%s}\n", par.imbalance,
+          f, ", \"run_inflation\": %.3f, \"event_imbalance\": %.3f%s}\n",
+          run_inflation, par.imbalance,
           hw >= 4 ? ""
                   : ", \"note\": \"produced on a <4-core machine: the "
                     ">=3x speedup floor and the cross-machine speedup "

@@ -71,6 +71,14 @@ Fleet::Fleet(const FleetOptions& opts)
 
 Fleet::~Fleet() = default;
 
+net::ServerId Fleet::HomeServerOf(uint32_t tenant) const {
+  const uint32_t nr = static_cast<uint32_t>(topo_.num_racks());
+  const uint32_t spr = static_cast<uint32_t>(opts_.servers_per_rack);
+  return HomeRackOf(tenant) * spr + (tenant / nr) % spr;
+}
+
+uint32_t Fleet::ClassOf(uint32_t tenant) { return tenant % kNumClasses; }
+
 sim::SimTime Fleet::RackDelay(uint32_t a, uint32_t b) const {
   int hops = net::FabricParams::kIntraRackHops;
   if (a != b) {
@@ -133,8 +141,6 @@ void Fleet::BuildRack(uint32_t r) {
 }
 
 void Fleet::BuildTenants() {
-  const uint32_t nr = static_cast<uint32_t>(topo_.num_racks());
-  const uint32_t spr = static_cast<uint32_t>(opts_.servers_per_rack);
   // First placement requests go out once the manager has seen a couple
   // of capacity reports; until grants land, tenants run in brownout.
   const sim::SimTime place_at =
@@ -144,9 +150,9 @@ void Fleet::BuildTenants() {
   for (uint32_t i = 0; i < opts_.tenants; i++) {
     Tenant& t = tenants_[i];
     t.id = i;
-    t.cls = i % kNumClasses;
-    t.home_rack = i % nr;
-    t.home_server = t.home_rack * spr + (i / nr) % spr;
+    t.cls = ClassOf(i);
+    t.home_rack = HomeRackOf(i);
+    t.home_server = HomeServerOf(i);
     t.rng = Rng(SplitMix64(opts_.seed ^ (0x7e7a0000ULL + i)));
     t.quota.Configure(opts_.quota_ops_per_sec, opts_.quota_burst, 0);
     t.retry.Configure(opts_.retry_fraction, kRetryMinReserve);
@@ -201,7 +207,7 @@ void Fleet::SampleRack(RackState& rack) {
       rack.evictions->Inc();
       const uint32_t tenant = static_cast<uint32_t>(key >> 32);
       const uint32_t rid = static_cast<uint32_t>(key & 0xffffffffu);
-      const uint32_t home = tenants_[tenant].home_rack;
+      const uint32_t home = HomeRackOf(tenant);
       engine_->Post(rack.rack, home, now + RackDelay(rack.rack, home),
                     [this, tenant, rid] { OnRegionLost(tenant, rid); });
     }
@@ -278,7 +284,7 @@ void Fleet::ManagerPlace(uint32_t tenant, uint32_t slot, uint32_t rid) {
     ss.installed.push_back(RegionKey(tenant, rid));
   });
 
-  const uint32_t home = tenants_[tenant].home_rack;
+  const uint32_t home = HomeRackOf(tenant);
   engine_->Post(
       0, home, now + opts_.fabric.nic_post_ns + RackDelay(0, home),
       [this, best, tenant, slot, rid] {
@@ -390,11 +396,8 @@ void Fleet::ServeOp(net::ServerId s, uint32_t tenant, uint32_t slot,
   sim::Simulation& sim = engine_->partition(r);
   const sim::SimTime now = sim.Now();
   ServerState& ss = StateOf(s);
-  // Immutable-after-build tenant fields only; the tenant's mutable
-  // state stays on its home partition.
-  const Tenant& t = tenants_[tenant];
-  const uint32_t home = t.home_rack;
-  const int hops = topo_.SwitchHops(s, t.home_server);
+  const uint32_t home = HomeRackOf(tenant);
+  const int hops = topo_.SwitchHops(s, HomeServerOf(tenant));
 
   const uint64_t key = RegionKey(tenant, rid);
   OpStatus status = OpStatus::kOk;
@@ -417,7 +420,7 @@ void Fleet::ServeOp(net::ServerId s, uint32_t tenant, uint32_t slot,
   }
 
   ss.in_service++;
-  const TenantClass& cls = kClasses[t.cls];
+  const TenantClass& cls = kClasses[ClassOf(tenant)];
   const sim::SimTime start = std::max(now, ss.next_issue);
   ss.next_issue = start + opts_.fabric.wqe_issue_gap_ns;
   sim::SimTime svc = start + opts_.fabric.nic_remote_dma_ns;

@@ -8,6 +8,7 @@
 
 #include "cluster/trace.h"
 #include "cluster/vm_allocator.h"
+#include "common/cache_line.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/units.h"
@@ -154,7 +155,12 @@ class Fleet {
     bool remote = false;  // false: local-memory brownout fallback
   };
 
-  struct Tenant {
+  /// Written only by events on the tenant's home partition: `rng` and
+  /// `quota` on every op, the counters and breakers on most. Other
+  /// partitions never read it (they derive what they need from the id,
+  /// see HomeRackOf), and it fills whole lines of its own, since
+  /// neighbours in `tenants_` are homed on racks of other workers.
+  struct alignas(kCacheLineBytes) Tenant {
     uint32_t id = 0;
     uint32_t cls = 0;
     uint32_t home_rack = 0;
@@ -179,6 +185,7 @@ class Fleet {
     telemetry::Counter* region_losses = nullptr;
     telemetry::WindowedHistogram* latency = nullptr;
   };
+  static_assert(alignof(Tenant) == kCacheLineBytes);
 
   /// Cache-server-side state, owned by the server's rack partition.
   struct ServerState {
@@ -220,6 +227,15 @@ class Fleet {
     return static_cast<uint32_t>(s) /
            static_cast<uint32_t>(opts_.servers_per_rack);
   }
+  /// A tenant's home rack, home server and class follow from its id.
+  /// BuildTenants fills the Tenant's copies from these, and other
+  /// partitions call them instead of reading the Tenant, whose lines
+  /// its home worker writes on every op.
+  uint32_t HomeRackOf(uint32_t tenant) const {
+    return tenant % static_cast<uint32_t>(topo_.num_racks());
+  }
+  net::ServerId HomeServerOf(uint32_t tenant) const;
+  static uint32_t ClassOf(uint32_t tenant);
   /// One-way control/data latency between racks (representative
   /// servers); small intra-rack constant when equal.
   sim::SimTime RackDelay(uint32_t a, uint32_t b) const;
@@ -243,7 +259,8 @@ class Fleet {
   void ScheduleNext(Tenant& t);
   overload::CircuitBreaker& BreakerFor(Tenant& t, net::ServerId s);
 
-  // Server side (runs on the serving rack's partition).
+  // Server side (runs on the serving rack's partition). Reads no tenant
+  // state: the tenant's home and class come from its id.
   void ServeOp(net::ServerId s, uint32_t tenant, uint32_t slot,
                uint32_t rid, bool is_read, sim::SimTime issued,
                uint32_t attempt);

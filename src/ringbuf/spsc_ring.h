@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache_line.h"
 #include "common/logging.h"
 
 namespace redy::ringbuf {
@@ -27,8 +28,6 @@ namespace redy::ringbuf {
 template <typename T>
 class SpscRing {
  public:
-  static constexpr size_t kCacheLine = 64;
-
   /// Capacity is rounded up to a power of two; usable slots = capacity.
   explicit SpscRing(size_t capacity) {
     size_t cap = 1;
@@ -98,12 +97,12 @@ class SpscRing {
   std::vector<T> buf_;
   size_t mask_;
   /// Producer-owned line: write index + cached copy of the consumer's.
-  alignas(kCacheLine) std::atomic<size_t> head_{0};
+  alignas(kCacheLineBytes) std::atomic<size_t> head_{0};
   size_t cached_tail_ = 0;
   /// Consumer-owned line: read index + cached copy of the producer's.
   /// cached_head_ is mutable so the logically-const Front() can refresh
   /// it (consumer-side only, like TryPop).
-  alignas(kCacheLine) std::atomic<size_t> tail_{0};
+  alignas(kCacheLineBytes) std::atomic<size_t> tail_{0};
   mutable size_t cached_head_ = 0;
 };
 

@@ -1,6 +1,24 @@
 #include "sim/sharded.h"
 
+#include <chrono>
+
 namespace redy::sim {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Adds the time since `since` to `*acc` and returns the current time,
+/// so back-to-back phases share one clock read at each boundary.
+Clock::time_point Charge(uint64_t* acc, Clock::time_point since) {
+  const Clock::time_point now = Clock::now();
+  *acc += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now - since)
+          .count());
+  return now;
+}
+
+}  // namespace
 
 ShardedEngine::ShardedEngine(const Options& opts)
     : lookahead_(opts.lookahead_ns),
@@ -79,6 +97,10 @@ void ShardedEngine::PickWindow() {
 
 void ShardedEngine::WorkerLoop(uint32_t w) {
   const uint32_t n = partitions();
+  WorkerSlot& slot = slots_[w];
+  Clock::time_point t = Clock::now();
+  // Both phases visit p = w, w + workers_, ...: the partitions with
+  // WorkerOf(p) == w.
   for (;;) {
     // Drain phase: ingest cross-partition messages, then report the
     // earliest pending event across this worker's partitions.
@@ -88,8 +110,10 @@ void ShardedEngine::WorkerLoop(uint32_t w) {
       DrainInbox(part);
       local_min = std::min(local_min, part.sim.NextEventTime());
     }
-    slots_[w].min = local_min;
-    Barrier(w, [this] { PickWindow(); });
+    slot.min = local_min;
+    t = Charge(&slot.drain_ns, t);
+    barrier_.ArriveAndWait([this] { PickWindow(); });
+    t = Charge(&slot.wait_ns, t);
 
     // Window phase: run the safe window in parallel.
     const SimTime u = window_end_;
@@ -97,12 +121,15 @@ void ShardedEngine::WorkerLoop(uint32_t w) {
     for (uint32_t p = w; p < n; p += workers_) {
       parts_[p]->sim.RunUntil(u);
     }
+    t = Charge(&slot.run_ns, t);
     // The trailing barrier separates this round's producers from the
     // next round's drains (no outbox is ever touched from both ends
     // concurrently) and, on the last round, keeps RunUntil from
-    // returning while a helper still runs.
-    Barrier(w, [] {});
+    // returning while a helper still runs. So the last round's wait
+    // goes uncharged: after that crossing a helper must not write.
+    barrier_.ArriveAndWait([] {});
     if (done) return;
+    t = Charge(&slot.wait_ns, t);
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -12,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache_line.h"
 #include "common/logging.h"
 #include "sim/inline_function.h"
 #include "sim/simulation.h"
@@ -45,13 +45,24 @@ namespace redy::sim {
 ///
 /// Determinism: the partition layout and the per-partition computation
 /// are *independent of the worker count*. `workers` only chooses which
-/// real thread runs partition p (p % workers); the rounds, the window
+/// real thread runs partition p (WorkerOf(p)); the rounds, the window
 /// bounds, the message delivery order (a total order, not arrival
 /// order), and each partition's event sequence are identical whether
 /// the engine runs on one thread or sixteen. Same-seed runs are
 /// byte-identical across worker counts by construction; the regression
 /// tests in sim_test.cc / fleet_test.cc byte-compare snapshots to keep
 /// it that way.
+///
+/// Cache-line ownership: every line a worker writes during a phase is
+/// that worker's alone; other workers touch only the message payloads
+/// it hands them. Partition p's simulator (clock, sequence and event
+/// counters, on every event) is written by WorkerOf(p); the line
+/// holding p's `in` header is read by every sender and written by
+/// nobody while running; outbox (src, dst) is written by WorkerOf(src)
+/// in the window phase and by WorkerOf(dst) in the drain phase; worker
+/// w's slot is written by w alone. Each of these is aligned to a line
+/// of its own (static_asserts below), so a neighbour's hot field never
+/// shares it (DESIGN.md §14).
 class ShardedEngine {
  public:
   struct Options {
@@ -77,6 +88,9 @@ class ShardedEngine {
   }
   uint32_t workers() const { return workers_; }
   SimTime lookahead_ns() const { return lookahead_; }
+  /// The worker thread that runs partition p: a fixed round-robin
+  /// placement, so results cannot depend on it.
+  uint32_t WorkerOf(uint32_t p) const { return p % workers_; }
 
   /// The partition's private simulator. Setup code schedules initial
   /// events here; during RunUntil only events running *on* partition p
@@ -112,8 +126,14 @@ class ShardedEngine {
   uint64_t messages_sent() const;
   uint64_t messages_spilled() const { return 0; }  // outboxes never spill
   uint64_t rounds() const { return rounds_; }
-  /// Wall nanoseconds worker `w` has spent inside the round barriers,
-  /// summed over every RunUntil so far.
+  /// Wall nanoseconds worker `w` has spent in each phase of a round,
+  /// summed over every RunUntil so far: draining its partitions'
+  /// inboxes, running their windows, and waiting in the round barriers.
+  /// The last barrier crossing of each RunUntil is not charged (a
+  /// helper would otherwise write its slot after RunUntil returned), so
+  /// the three sum to at most the wall time of the RunUntil calls.
+  uint64_t drain_ns(uint32_t w) const { return slots_[w].drain_ns; }
+  uint64_t run_ns(uint32_t w) const { return slots_[w].run_ns; }
   uint64_t barrier_wait_ns(uint32_t w) const { return slots_[w].wait_ns; }
 
  private:
@@ -124,25 +144,37 @@ class ShardedEngine {
   };
 
   /// Messages from one partition to another, in send order. The thread
-  /// running src appends only in the window phase; the thread running
-  /// dst drains and clear()s it only in the next drain phase, so the
-  /// round barriers keep the two apart and no atomics are needed. The
-  /// vector keeps its capacity, so a steady pair stops allocating.
-  struct Outbox {
+  /// running src appends (writing the vector's end and `sent`) only in
+  /// the window phase; the thread running dst drains and clear()s it
+  /// only in the next drain phase, so the round barriers keep the two
+  /// apart and no atomics are needed. The vector keeps its capacity, so
+  /// a steady pair stops allocating. A line of its own: packed, two
+  /// sources' outboxes into one destination would share a line that
+  /// both senders write in the same window.
+  struct alignas(kCacheLineBytes) Outbox {
     std::vector<Msg> msgs;
     uint64_t sent = 0;  // messages ever sent
   };
 
   struct Partition {
+    /// Written by the owning worker on every event.
     Simulation sim;
-    /// Inbound outboxes indexed by source partition (self unused).
-    std::vector<Outbox> in;
+    /// Inbound outboxes indexed by source partition (self unused). The
+    /// header is only read while running, by every sender's Post, so it
+    /// sits on its own line, away from `sim`'s clock and counters. The
+    /// alignment also pads the partition to whole lines, so the next
+    /// partition's `sim` never shares this one's lines.
+    alignas(kCacheLineBytes) std::vector<Outbox> in;
   };
+  static_assert(alignof(Outbox) == kCacheLineBytes);
+  static_assert(alignof(Partition) == kCacheLineBytes);
 
   /// Per-worker round state, each on its own cache line: the drain
-  /// phase's minimum and the accumulated barrier wait.
-  struct alignas(64) WorkerSlot {
+  /// phase's minimum and the accumulated phase times.
+  struct alignas(kCacheLineBytes) WorkerSlot {
     SimTime min = Simulation::kNoEvent;
+    uint64_t drain_ns = 0;
+    uint64_t run_ns = 0;
     uint64_t wait_ns = 0;
   };
 
@@ -174,23 +206,13 @@ class ShardedEngine {
 
    private:
     const uint32_t n_;
-    alignas(64) std::atomic<uint32_t> arrived_{0};
-    alignas(64) std::atomic<uint32_t> phase_{0};
+    alignas(kCacheLineBytes) std::atomic<uint32_t> arrived_{0};
+    alignas(kCacheLineBytes) std::atomic<uint32_t> phase_{0};
   };
 
   void WorkerLoop(uint32_t w);
   void HelperMain(uint32_t w);
   void DrainInbox(Partition& part);
-  /// ArriveAndWait, with the wait charged to worker w.
-  template <typename F>
-  void Barrier(uint32_t w, F&& serial) {
-    const auto t0 = std::chrono::steady_clock::now();
-    barrier_.ArriveAndWait(std::forward<F>(serial));
-    slots_[w].wait_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
   /// Serial section of the drain barrier: reduces the per-worker
   /// minima and picks the round's window bound.
   void PickWindow();

@@ -69,23 +69,28 @@ TEST(FleetTest, ServesTrafficOutOfHarvestedMemory) {
 TEST(FleetTest, SameSeedWorkerCountsAreByteIdentical) {
   FleetOptions a = SmallFleet();
   a.workers = 1;
-  FleetOptions b = SmallFleet();
-  b.workers = 3;
-
   Fleet one(a);
   one.Run();
-  Fleet three(b);
-  three.Run();
-
   const std::string s1 = one.MetricsSnapshot();
-  const std::string s3 = three.MetricsSnapshot();
   ASSERT_FALSE(s1.empty());
-  EXPECT_EQ(s1, s3) << "sharded run diverged from single-threaded run";
 
-  // Engine-level accounting agrees too, not just the telemetry.
-  EXPECT_EQ(one.engine().events_executed(),
-            three.engine().events_executed());
-  EXPECT_EQ(one.engine().messages_sent(), three.engine().messages_sent());
+  for (uint32_t workers : {2u, 3u, 4u}) {
+    FleetOptions b = SmallFleet();
+    b.workers = workers;
+    Fleet sharded(b);
+    sharded.Run();
+    EXPECT_EQ(s1, sharded.MetricsSnapshot())
+        << workers << "-worker run diverged from single-threaded run";
+
+    // Engine-level accounting agrees too, not just the telemetry.
+    EXPECT_EQ(one.engine().events_executed(),
+              sharded.engine().events_executed())
+        << workers << " workers";
+    EXPECT_EQ(one.engine().messages_sent(), sharded.engine().messages_sent())
+        << workers << " workers";
+    EXPECT_EQ(one.engine().rounds(), sharded.engine().rounds())
+        << workers << " workers";
+  }
 }
 
 TEST(FleetTest, BrownsOutToLocalMemoryBeforePlacement) {

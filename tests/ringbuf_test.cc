@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cache_line.h"
 #include "ringbuf/spsc_ring.h"
 
 namespace redy {
@@ -74,12 +75,12 @@ TEST(SpscRingTest, IndexLinesAreCacheLineAlignedAndDistinct) {
   Ring ring(8);
   const void* prod = ring.producer_line();
   const void* cons = ring.consumer_line();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(prod) % Ring::kCacheLine, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(cons) % Ring::kCacheLine, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(prod) % kCacheLineBytes, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(cons) % kCacheLineBytes, 0u);
   // The producer's index (+ its cached tail snapshot) and the
   // consumer's index (+ its cached head snapshot) must never share a
   // cache line, or the endpoints false-share on every op.
-  EXPECT_GE(ByteDistance(prod, cons), Ring::kCacheLine);
+  EXPECT_GE(ByteDistance(prod, cons), kCacheLineBytes);
 }
 
 TEST(SpscRingTest, CachedIndicesSurviveWraparoundTransitions) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -573,6 +574,47 @@ TEST(ShardedEngineTest, RunUntilAdvancesEveryPartitionToTheBound) {
   eng.RunUntil(500);  // repeated runs with a non-empty partition
   for (uint32_t p = 0; p < 3; p++) EXPECT_EQ(eng.partition(p).Now(), 500u);
   EXPECT_EQ(eng.events_executed(), 1u);
+}
+
+TEST(ShardedEngineTest, PhaseTimesSumToAtMostTheWallTime) {
+  // Every partition keeps a cross-partition ping going, so each worker
+  // drains, runs and waits in every round.
+  constexpr uint32_t kParts = 4;
+  constexpr sim::SimTime kLookahead = 20;
+  for (uint32_t workers : {1u, 3u}) {
+    sim::ShardedEngine::Options opts;
+    opts.partitions = kParts;
+    opts.workers = workers;
+    opts.lookahead_ns = kLookahead;
+    sim::ShardedEngine eng(opts);
+    struct Ping {
+      sim::ShardedEngine* eng;
+      uint32_t at;
+
+      void operator()() const {
+        const uint32_t dst = (at + 1) % kParts;
+        eng->Post(at, dst, eng->partition(at).Now() + kLookahead,
+                  Ping{eng, dst});
+      }
+    };
+    for (uint32_t p = 0; p < kParts; p++) {
+      eng.partition(p).At(p + 1, Ping{&eng, p});
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.RunUntil(20'000);
+    const auto wall = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    ASSERT_EQ(eng.workers(), workers);
+    for (uint32_t w = 0; w < workers; w++) {
+      const uint64_t sum =
+          eng.drain_ns(w) + eng.run_ns(w) + eng.barrier_wait_ns(w);
+      EXPECT_GT(sum, 0u) << "workers " << workers << " w" << w;
+      EXPECT_LE(sum, wall) << "workers " << workers << " w" << w;
+    }
+  }
 }
 
 /// The determinism regression the parallel engine is built around:
