@@ -5,6 +5,11 @@
 //
 //   ./build/examples/example_redy_server_main &
 //   ./build/examples/example_redy_client_main --ops=20000
+//   ./build/examples/example_redy_client_main --one-sided --record-bytes=8192
+//
+// By default the cache is two-sided and batched, RdmaConfig{1,1,4,8};
+// --one-sided creates it one-sided, RdmaConfig{1,0,1,16}, so every op is
+// a one-sided READ or WRITE served by the server process's epoll workers.
 //
 // The unmodified CacheClient runs here: it talks to a
 // transport::RemoteCacheManager (control RPCs over --control-port) and
@@ -56,6 +61,14 @@ std::string FlagStr(int argc, char** argv, const char* name,
   return def;
 }
 
+bool FlagSet(int argc, char** argv, const char* name) {
+  const std::string flag = std::string("--") + name;
+  for (int i = 1; i < argc; i++) {
+    if (flag == argv[i]) return true;
+  }
+  return false;
+}
+
 double Percentile(std::vector<double>* v, double p) {
   if (v->empty()) return 0.0;
   std::sort(v->begin(), v->end());
@@ -77,6 +90,7 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(FlagU64(argc, argv, "record-bytes", 1024));
   const uint32_t window =
       static_cast<uint32_t>(FlagU64(argc, argv, "outstanding", 4));
+  const bool one_sided = FlagSet(argc, argv, "one-sided");
 
   sim::Simulation sim;
   transport::WallClockDriver driver(&sim);
@@ -115,12 +129,13 @@ int main(int argc, char** argv) {
   std::printf("redy_client: control %s:%u, server data port %u\n",
               host.c_str(), control_port, manager->data_port());
 
-  // Create the cache through the remote manager: one client thread,
-  // one server thread, batch size 4 (the two-sided path exercises the
-  // rings; one-sided reads ride the responder path).
+  // Create the cache through the remote manager. Two-sided: one client
+  // thread, one server thread, batch size 4, so ops ride the rings.
+  // One-sided: no server thread, so every op rides the responder path.
+  const RdmaConfig config =
+      one_sided ? RdmaConfig{1, 0, 1, 16} : RdmaConfig{1, 1, 4, 8};
   const auto cache_or = driver.Call([&] {
-    return client->CreateWithConfig(16 * kMiB, RdmaConfig{1, 1, 4, 8},
-                                    record_bytes);
+    return client->CreateWithConfig(16 * kMiB, config, record_bytes);
   });
   if (!cache_or.ok()) {
     std::printf("redy_client: Create failed: %s\n",
@@ -129,8 +144,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const CacheClient::CacheId cache = *cache_or;
-  std::printf("redy_client: cache %llu created (%u B records)\n",
-              static_cast<unsigned long long>(cache), record_bytes);
+  std::printf("redy_client: cache %llu created (%u B records, %s)\n",
+              static_cast<unsigned long long>(cache), record_bytes,
+              config.ToString().c_str());
 
   // YCSB-B over the wall clock: issue ops in windows of `outstanding`,
   // measuring per-op latency from post to completion callback.

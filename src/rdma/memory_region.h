@@ -68,6 +68,9 @@ class MemoryRegion {
   void NotifyRemoteWrite() {
     if (on_remote_write_) on_remote_write_();
   }
+  bool has_remote_write_notifier() const {
+    return static_cast<bool>(on_remote_write_);
+  }
 
  private:
   Nic* nic_;

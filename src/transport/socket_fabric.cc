@@ -151,20 +151,39 @@ void SocketQueuePair::Issue(PendingOp op, std::vector<uint8_t> frame) {
   fab_->pool().Send(conn_, std::move(frame));
 }
 
-bool SocketQueuePair::MayWriteBeforeRead(uint32_t rkey, uint64_t offset,
-                                         uint64_t len) const {
+void SocketQueuePair::ParkDirect(PendingOp op, uint8_t status) {
+  // The ack goes through the mailbox, so the op completes in post order
+  // on a later loop pass.
+  const uint64_t op_token = next_op_token_;
+  op.direct = true;
+  Park(std::move(op));
+  fab_->driver()->Post([fab = fab_, qp = token_, op_token, status] {
+    fab->DeliverAck(qp, op_token, status, 0, {});
+  });
+}
+
+SocketFabric* SocketQueuePair::PeerFabric() const {
+  return peer_ == nullptr ? nullptr
+                          : static_cast<SocketQueuePair*>(peer_)->fab_;
+}
+
+bool SocketQueuePair::MustFollowFramedOp(bool write, uint32_t rkey,
+                                         uint64_t offset, uint64_t len) const {
+  const auto is_write_hop = [](const ChainHopWire& w) {
+    return (w.flags & ChainHopWire::kIsWrite) != 0;
+  };
   for (size_t i = 0; i < pending_.size(); i++) {
     const PendingOp& op = pending_[i];
-    if (op.done) continue;  // acked, so its bytes have landed
-    if (op.opcode == rdma::Opcode::kWrite && op.rkey == rkey &&
-        op.remote_offset < offset + len && offset < op.remote_offset + op.len) {
-      return true;
-    }
-    if (op.opcode == rdma::Opcode::kChain &&
-        std::any_of(op.chain_hops.begin(), op.chain_hops.end(),
-                    [](const ChainHopWire& w) {
-                      return (w.flags & ChainHopWire::kIsWrite) != 0;
-                    })) {
+    if (op.direct || op.done) continue;  // its bytes have moved
+    if (op.opcode == rdma::Opcode::kChain) {
+      if (write || std::any_of(op.chain_hops.begin(), op.chain_hops.end(),
+                               is_write_hop)) {
+        return true;
+      }
+    } else if ((op.opcode == rdma::Opcode::kWrite ||
+                (write && op.opcode == rdma::Opcode::kRead)) &&
+               op.rkey == rkey && op.remote_offset < offset + len &&
+               offset < op.remote_offset + op.len) {
       return true;
     }
   }
@@ -178,6 +197,22 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   if (!mr->InBounds(local_offset, len)) {
     return Status::OutOfRange("local range outside region");
   }
+  PendingOp op(wr_id, rdma::Opcode::kWrite, len);
+  op.rkey = key.rkey;
+  op.remote_offset = remote_offset;
+  const uint8_t* src = mr->data() + local_offset;
+  SocketFabric* responder = PeerFabric();
+  if (responder != nullptr && responder->driver() == fab_->driver() &&
+      !responder->HasRemoteWriteNotifier(key.rkey) &&
+      !MustFollowFramedOp(/*write=*/true, key.rkey, remote_offset, len)) {
+    // Direct WRITE: the peer is in this process and served by this loop,
+    // so the loop runs the responder itself; no frame, no worker, no
+    // syscall. A region with a notifier is a polled ring, whose writes
+    // stay framed (DESIGN.md §13).
+    ParkDirect(std::move(op), responder->ApplyWrite(key.rkey, key.epoch,
+                                                    remote_offset, src, len));
+    return Status::OK();
+  }
   FrameHeader h;
   h.type = static_cast<uint8_t>(FrameType::kWrite);
   h.rkey = key.rkey;
@@ -186,10 +221,7 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   h.offset = remote_offset;
   // Snapshot at post time (verbs semantics): the frame owns its bytes,
   // so the caller may scribble over the source immediately.
-  PendingOp op(wr_id, rdma::Opcode::kWrite, len);
-  op.rkey = key.rkey;
-  op.remote_offset = remote_offset;
-  Issue(std::move(op), EncodeFrame(h, mr->data() + local_offset, len));
+  Issue(std::move(op), EncodeFrame(h, src, len));
   return Status::OK();
 }
 
@@ -202,19 +234,17 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   }
   PendingOp op(wr_id, rdma::Opcode::kRead, len);
   op.local_offset = local_offset;
-  if (peer_ != nullptr && !MayWriteBeforeRead(key.rkey, remote_offset, len)) {
+  op.rkey = key.rkey;
+  op.remote_offset = remote_offset;
+  SocketFabric* responder = PeerFabric();
+  if (responder != nullptr &&
+      !MustFollowFramedOp(/*write=*/false, key.rkey, remote_offset, len)) {
     // Direct READ: the peer is in this process, so the loop runs the
     // responder itself and copies straight into the landing region; no
-    // frame, no worker, no syscall. The ack still goes through the
-    // mailbox, so the op completes in post order on a later loop pass.
-    const uint8_t status =
-        static_cast<SocketQueuePair*>(peer_)->fab_->SnapshotRead(
-            key.rkey, remote_offset, len, mr->data() + local_offset);
-    const uint64_t op_token = next_op_token_;
-    Park(std::move(op));
-    fab_->driver()->Post([fab = fab_, qp = token_, op_token, status] {
-      fab->DeliverAck(qp, op_token, status, 0, {});
-    });
+    // frame, no worker, no syscall.
+    ParkDirect(std::move(op),
+               responder->SnapshotRead(key.rkey, remote_offset, len,
+                                       mr->data() + local_offset));
     return Status::OK();
   }
   FrameHeader h;
@@ -633,8 +663,13 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
     }
     case FrameType::kWrite: {
       // The one-sided responder path: fence + deposit right here on the
-      // worker. The application loop never sees the op (DESIGN.md §13).
-      const uint8_t status = ApplyWrite(hdr, payload);
+      // worker. The application loop only runs the region's notifier.
+      const uint8_t status = ApplyWrite(hdr.rkey, hdr.epoch, hdr.offset,
+                                        payload.data(), payload.size());
+      if (status == Code(StatusCode::kOk)) {
+        driver_->Post(
+            [this, rkey = hdr.rkey] { NotifyRemoteWriteOnLoop(rkey); });
+      }
       FrameHeader ack;
       ack.type = static_cast<uint8_t>(FrameType::kWriteAck);
       ack.status = status;
@@ -710,44 +745,41 @@ void SocketFabric::OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token) {
   });
 }
 
-uint8_t SocketFabric::ApplyWrite(const FrameHeader& hdr,
-                                 const std::vector<uint8_t>& payload) {
-  const std::shared_ptr<SharedMr> smr = LookupSharedMr(hdr.rkey);
+uint8_t SocketFabric::ApplyWrite(uint32_t rkey, uint32_t epoch,
+                                 uint64_t offset, const uint8_t* src,
+                                 uint64_t len) {
+  const std::shared_ptr<SharedMr> smr = LookupSharedMr(rkey);
   if (smr == nullptr) return Code(StatusCode::kProtectionError);
   std::lock_guard<std::mutex> lk(smr->apply_mu);
   rdma::MemoryRegion* mr = smr->mr;
   if (mr == nullptr) return Code(StatusCode::kProtectionError);
-  if (hdr.epoch != mr->epoch()) {
+  if (epoch != mr->epoch()) {
     // Stale access epoch: the fence. Count it on the loop (telemetry
     // counters hang off loop-built NIC state).
     driver_->Post([nic = mr->nic()] { nic->CountProtectionError(); });
     return Code(StatusCode::kProtectionError);
   }
-  if (!mr->InBounds(hdr.offset, payload.size())) {
-    return Code(StatusCode::kAborted);
-  }
-  uint8_t* dst = mr->data() + hdr.offset;
-  if (hdr.offset % 8 == 0 && payload.size() >= 8 &&
+  if (!mr->InBounds(offset, len)) return Code(StatusCode::kAborted);
+  uint8_t* dst = mr->data() + offset;
+  if (offset % 8 == 0 && len >= 8 &&
       reinterpret_cast<uintptr_t>(dst) % 8 == 0) {
     // Publish protocol: body first, then the first 8 bytes (the
     // BatchHeader sequence word) with release ordering, so a poller's
     // acquire load of the seq observes a fully-deposited slot — the
     // socket analogue of "the RDMA write's last cache line carries the
     // header" the simulated fabric provides for free.
-    std::memcpy(dst + 8, payload.data() + 8, payload.size() - 8);
+    std::memcpy(dst + 8, src + 8, len - 8);
     uint64_t first;
-    std::memcpy(&first, payload.data(), sizeof(first));
+    std::memcpy(&first, src, sizeof(first));
     std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(dst))
         .store(first, std::memory_order_release);
-  } else if (!payload.empty()) {
+  } else if (len != 0) {
     // Same publish shape at byte granularity (atomic_thread_fence is
     // unsupported under TSan): body after the first byte, then the
     // first byte with a release store.
-    std::memcpy(dst + 1, payload.data() + 1, payload.size() - 1);
-    std::atomic_ref<uint8_t>(*dst).store(payload[0],
-                                         std::memory_order_release);
+    std::memcpy(dst + 1, src + 1, len - 1);
+    std::atomic_ref<uint8_t>(*dst).store(src[0], std::memory_order_release);
   }
-  driver_->Post([this, rkey = hdr.rkey] { NotifyRemoteWriteOnLoop(rkey); });
   return Code(StatusCode::kOk);
 }
 
@@ -853,16 +885,19 @@ void SocketFabric::HandleIncomingSend(uint64_t qp_token,
   pool_.Send(conn, EncodeFrame(ack, nullptr, 0));
 }
 
+rdma::MemoryRegion* SocketFabric::RegionOnLoop(uint32_t rkey) {
+  const std::shared_ptr<SharedMr> smr = LookupSharedMr(rkey);
+  return smr == nullptr ? nullptr : smr->mr;
+}
+
+bool SocketFabric::HasRemoteWriteNotifier(uint32_t rkey) {
+  const rdma::MemoryRegion* mr = RegionOnLoop(rkey);
+  return mr != nullptr && mr->has_remote_write_notifier();
+}
+
 void SocketFabric::NotifyRemoteWriteOnLoop(uint32_t rkey) {
-  rdma::MemoryRegion* mr = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mr_mu_);
-    auto it = shared_mrs_.find(rkey);
-    if (it == shared_mrs_.end()) return;
-    mr = it->second->mr;
-  }
   // Loop thread; notifier installation/teardown is loop-side too.
-  mr->NotifyRemoteWrite();
+  if (rdma::MemoryRegion* mr = RegionOnLoop(rkey)) mr->NotifyRemoteWrite();
 }
 
 void SocketFabric::QpTransportClosed(uint64_t qp_token,

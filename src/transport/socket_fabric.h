@@ -33,14 +33,19 @@ class SocketNic;
 /// of post order; CompleteOp holds an early ack until every earlier op
 /// has completed, which keeps the RC QP's in-order completion guarantee.
 ///
-/// A READ to a peer in this process sends no frame: the loop runs the
-/// responder itself (SocketFabric::SnapshotRead on the peer's fabric),
-/// copies straight into the landing region, and posts the ack to its
-/// own driver mailbox, so the completion still arrives in post order on
-/// a later loop pass. RC ordering says a READ observes every earlier
-/// WRITE on its QP, so a READ takes the framed path instead while an
-/// earlier unacked WRITE to the same rkey overlaps its range, or an
-/// earlier chain with a write hop is unacked.
+/// A READ or WRITE to a peer in this process sends no frame: the loop
+/// runs the responder itself (SocketFabric::SnapshotRead or ApplyWrite
+/// on the peer's fabric), copying straight between the two regions, and
+/// posts the ack to its own driver mailbox, so the completion still
+/// arrives in post order on a later loop pass. RC ordering says ops on
+/// one QP take effect in post order, so an op takes the framed path
+/// instead while an earlier framed op it could observe or overwrite is
+/// unacked: for a READ, an overlapping WRITE to the same rkey or a chain
+/// with a write hop; for a WRITE, an overlapping READ or WRITE to the
+/// same rkey or any chain. A WRITE into a region with a remote-write
+/// notifier (a polled batch ring) stays framed too, and so does a WRITE
+/// to a peer fabric driven by another loop, whose notifiers this loop
+/// may not read.
 ///
 /// Connect() joins two queue pairs of this process with one AF_UNIX
 /// socketpair, each end pre-bound to its QP, so both ends are connected
@@ -95,14 +100,17 @@ class SocketQueuePair : public rdma::QueuePair {
     uint32_t landing_key = 0;
     uint64_t local_offset = 0;
     uint32_t len = 0;
-    /// kWrite only: the target, so a later READ can tell whether it
-    /// might observe this write.
+    /// kRead/kWrite: the target, so a later op can tell whether it
+    /// might observe or overwrite this one.
     uint32_t rkey = 0;
     uint64_t remote_offset = 0;
     /// kChain only: the posted hop descriptors, kept so the single
     /// response's concatenated read payloads scatter back to each
     /// hop's local landing offset.
     std::vector<ChainHopWire> chain_hops;
+    /// Set when the responder ran on the loop at post time, so the op's
+    /// bytes have already moved and no later op orders behind it.
+    bool direct = false;
     /// Set when the op's ack has been applied; its completion waits in
     /// `status` until every earlier op has completed too.
     bool done = false;
@@ -115,9 +123,19 @@ class SocketQueuePair : public rdma::QueuePair {
   void Issue(PendingOp op, std::vector<uint8_t> frame);
   /// Parks `op` under the next op token, counting it as posted.
   void Park(PendingOp op);
-  /// Whether an earlier unacked op could write bytes a READ of
-  /// [offset, offset + len) under `rkey` reads.
-  bool MayWriteBeforeRead(uint32_t rkey, uint64_t offset, uint64_t len) const;
+  /// Parks `op`, whose responder has just run on this loop and answered
+  /// `status`, and posts its ack to the driver mailbox.
+  void ParkDirect(PendingOp op, uint8_t status);
+  /// The peer's fabric when the peer is a queue pair of this process,
+  /// else nullptr.
+  SocketFabric* PeerFabric() const;
+  /// Whether an earlier framed op, not yet acked, must take effect before
+  /// a READ (`write` false) or WRITE (`write` true) of
+  /// [offset, offset + len) under `rkey`: an overlapping WRITE or a chain
+  /// with a write hop for a READ; an overlapping READ or WRITE or any
+  /// chain for a WRITE.
+  bool MustFollowFramedOp(bool write, uint32_t rkey, uint64_t offset,
+                          uint64_t len) const;
   /// Loop-side: an ack/response frame for op `op_token` arrived. `aux`
   /// echoes the response header's aux word (executed hop count for
   /// kChainResp; unused for the other acks).
@@ -218,8 +236,10 @@ class SocketFabric : public rdma::Fabric {
 
   /// Responder-table entry of one registered region. RemoveSharedMr
   /// clears `mr` under `apply_mu`, and every responder checks it under
-  /// the mutex, so once RemoveSharedMr returns nothing off the loop can
-  /// touch the region.
+  /// the mutex: a worker serving a frame, or the loop serving a direct
+  /// READ or WRITE for an in-process peer. So once RemoveSharedMr returns
+  /// nothing can touch the region. Only the loop writes `mr`, so the loop
+  /// may read it without the mutex.
   struct SharedMr {
     std::mutex apply_mu;
     rdma::MemoryRegion* mr = nullptr;
@@ -245,9 +265,14 @@ class SocketFabric : public rdma::Fabric {
   void OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
                const FrameHeader& hdr, std::vector<uint8_t> payload);
   void OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token);
-  /// Worker-side one-sided responder: fence check + deposit.
-  uint8_t ApplyWrite(const FrameHeader& hdr,
-                     const std::vector<uint8_t>& payload);
+  /// The WRITE responder, for the worker's framed WRITE and the loop's
+  /// direct WRITE alike: resolves `rkey`, checks it is still registered,
+  /// that `epoch` is current (the fence) and that the range is in
+  /// bounds, and deposits `len` bytes from `src` with the publish
+  /// protocol, all under the region's apply mutex. Nothing lands unless
+  /// it returns kOk. It does not run the region's remote-write notifier.
+  uint8_t ApplyWrite(uint32_t rkey, uint32_t epoch, uint64_t offset,
+                     const uint8_t* src, uint64_t len);
   /// The READ responder, for the worker's framed reply and the loop's
   /// direct READ alike: resolves `rkey`, checks it is still registered
   /// and the range is in bounds (no epoch check), and copies `len` bytes
@@ -268,6 +293,10 @@ class SocketFabric : public rdma::Fabric {
                   uint64_t aux, std::vector<uint8_t> payload);
   void HandleIncomingSend(uint64_t qp_token, WorkerPool::ConnId conn,
                           uint64_t op_token, std::vector<uint8_t> payload);
+  /// Loop-side: the registered region under `rkey`, or nullptr.
+  rdma::MemoryRegion* RegionOnLoop(uint32_t rkey);
+  /// Loop-side: whether a write into `rkey` must wake a poller.
+  bool HasRemoteWriteNotifier(uint32_t rkey);
   void NotifyRemoteWriteOnLoop(uint32_t rkey);
   void QpTransportClosed(uint64_t qp_token, WorkerPool::ConnId conn);
 

@@ -573,8 +573,9 @@ TEST_P(BackendRdmaTest, ReadOfDeregisteredRegionIsProtectionError) {
 }
 
 TEST_P(BackendRdmaTest, ReadAfterOverlappingWriteSeesTheWrite) {
-  // RC ordering: a READ observes every earlier WRITE on its QP. On the
-  // socketpair backend the READ would otherwise run on the loop at post
+  // RC ordering: a READ observes every earlier WRITE on its QP. The
+  // WRITEs go into a region with a notifier, so on the socketpair backend
+  // they stay framed; the READ would otherwise run on the loop at post
   // time, before the WRITE's frame has even left.
   if (GetParam() == Backend::kSim) {
     GTEST_SKIP() << "the simulated fabric lets a header-only READ overtake "
@@ -596,6 +597,7 @@ TEST_P(BackendRdmaTest, ReadAfterOverlappingWriteSeesTheWrite) {
                 32);
   }
   harness_->Run([&] {
+    remote_->SetRemoteWriteNotifier([] {});
     for (uint64_t k = 0; k < kPairs; k++) {
       EXPECT_TRUE(cqp_->PostWrite(2 * k + 1, local_, k * kSlot,
                                   remote_->remote_key(), k * kSlot, 64)
@@ -604,6 +606,7 @@ TEST_P(BackendRdmaTest, ReadAfterOverlappingWriteSeesTheWrite) {
                                  remote_->remote_key(), k * kSlot + 32, 64)
                       .ok());
     }
+    remote_->SetRemoteWriteNotifier({});
   });
   auto wcs = DrainN(2 * kPairs);
   ASSERT_EQ(wcs.size(), 2 * kPairs);
@@ -617,6 +620,209 @@ TEST_P(BackendRdmaTest, ReadAfterOverlappingWriteSeesTheWrite) {
               0)
         << "read " << k << " missed the write before it";
   }
+}
+
+// The next three tests need framed ops on the socketpair backend, where
+// READs and WRITEs between in-process queue pairs run on the loop at
+// post time. A WRITE into a region with a remote-write notifier stays
+// framed, and so does any op that must follow it, so each test posts
+// its first ops while `remote_` has a notifier and clears it before the
+// ops whose order it checks.
+
+TEST_P(BackendRdmaTest, ReadBeforeOverlappingWriteNeverSeesIt) {
+  // RC ordering: a READ does not observe a WRITE posted after it. Each
+  // triple writes slot k (framed), reads 64 B from its middle (framed
+  // behind that WRITE) and then writes the 64 B after the slot, which
+  // the READ's second half covers. That last WRITE must stay framed
+  // behind the READ, or it lands before the READ is served.
+  constexpr uint64_t kTriples = 5;  // 15 ops: within the QP depth of 16
+  constexpr uint64_t kSlot = 1024;
+  constexpr uint64_t kLater = 16 * kKiB;  // sources of the later WRITEs
+  constexpr uint64_t kReadBack = 32 * kKiB;
+  for (uint64_t i = 0; i < kTriples * kSlot; i++) {
+    local_->data()[i] = static_cast<uint8_t>(i * 7 + 1);
+    local_->data()[kLater + i] = static_cast<uint8_t>(i * 11 + 3);
+    remote_->data()[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  std::vector<uint8_t> old_after(kTriples * 32);
+  for (uint64_t k = 0; k < kTriples; k++) {
+    std::memcpy(old_after.data() + k * 32, remote_->data() + k * kSlot + 64,
+                32);
+  }
+  harness_->Run([&] {
+    remote_->SetRemoteWriteNotifier([] {});
+    for (uint64_t k = 0; k < kTriples; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(2 * k + 1, local_, k * kSlot,
+                                  remote_->remote_key(), k * kSlot, 64)
+                      .ok());
+      EXPECT_TRUE(cqp_->PostRead(2 * k + 2, local_, kReadBack + k * 64,
+                                 remote_->remote_key(), k * kSlot + 32, 64)
+                      .ok());
+    }
+    remote_->SetRemoteWriteNotifier({});
+    for (uint64_t k = 0; k < kTriples; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(2 * kTriples + k + 1, local_,
+                                  kLater + k * kSlot, remote_->remote_key(),
+                                  k * kSlot + 64, 64)
+                      .ok());
+    }
+  });
+  auto wcs = DrainN(3 * kTriples);
+  ASSERT_EQ(wcs.size(), 3 * kTriples);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+  }
+  for (uint64_t k = 0; k < kTriples; k++) {
+    EXPECT_EQ(std::memcmp(local_->data() + kReadBack + k * 64 + 32,
+                          old_after.data() + k * 32, 32),
+              0)
+        << "read " << k << " saw the write posted after it";
+    EXPECT_EQ(std::memcmp(remote_->data() + k * kSlot + 64,
+                          local_->data() + kLater + k * kSlot, 64),
+              0)
+        << "later write " << k << " did not land";
+  }
+}
+
+TEST_P(BackendRdmaTest, WriteBehindOverlappingFramedWriteLandsLast) {
+  // Each pair writes 64 B at slot k (framed) and then 64 B starting
+  // halfway into it. The second WRITE must land after the first, so the
+  // overlap ends up holding the second WRITE's bytes.
+  constexpr uint64_t kPairs = 8;
+  constexpr uint64_t kSlot = 1024;
+  constexpr uint64_t kLater = 16 * kKiB;
+  for (uint64_t i = 0; i < kPairs * kSlot; i++) {
+    local_->data()[i] = static_cast<uint8_t>(i * 7 + 1);
+    local_->data()[kLater + i] = static_cast<uint8_t>(i * 11 + 3);
+  }
+  harness_->Run([&] {
+    remote_->SetRemoteWriteNotifier([] {});
+    for (uint64_t k = 0; k < kPairs; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(k + 1, local_, k * kSlot,
+                                  remote_->remote_key(), k * kSlot, 64)
+                      .ok());
+    }
+    remote_->SetRemoteWriteNotifier({});
+    for (uint64_t k = 0; k < kPairs; k++) {
+      EXPECT_TRUE(cqp_->PostWrite(kPairs + k + 1, local_, kLater + k * kSlot,
+                                  remote_->remote_key(), k * kSlot + 32, 64)
+                      .ok());
+    }
+  });
+  auto wcs = DrainN(2 * kPairs);
+  ASSERT_EQ(wcs.size(), 2 * kPairs);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+  }
+  for (uint64_t k = 0; k < kPairs; k++) {
+    EXPECT_EQ(std::memcmp(remote_->data() + k * kSlot,
+                          local_->data() + k * kSlot, 32),
+              0)
+        << "first write " << k;
+    EXPECT_EQ(std::memcmp(remote_->data() + k * kSlot + 32,
+                          local_->data() + kLater + k * kSlot, 64),
+              0)
+        << "write " << k << " was overwritten by the write before it";
+  }
+}
+
+TEST_P(BackendRdmaTest, MixedDirectAndFramedOpsCompleteInPostOrder) {
+  // WRITEs into a region with a notifier stay framed and are acked by a
+  // worker, while READs and WRITEs on `remote_` run on the loop at post
+  // time on the socketpair backend. Their completions must still come
+  // back in post order.
+  constexpr uint64_t kOps = 15;
+  constexpr uint64_t kSlot = 1024;
+  constexpr uint64_t kReadBack = 32 * kKiB;
+  MemoryRegion* ring = nullptr;
+  for (uint64_t i = 0; i < kOps * kSlot; i++) {
+    local_->data()[i] = static_cast<uint8_t>(i * 7 + 1);
+    remote_->data()[kReadBack + i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  harness_->Run([&] {
+    ring = server_nic_->RegisterMemory(kOps * kSlot);
+    ring->SetRemoteWriteNotifier([] {});
+    for (uint64_t k = 0; k < kOps; k++) {
+      Status st;
+      switch (k % 3) {
+        case 0:
+          st = cqp_->PostWrite(k + 1, local_, k * kSlot, ring->remote_key(),
+                               k * kSlot, kSlot);
+          break;
+        case 1:
+          st = cqp_->PostWrite(k + 1, local_, k * kSlot,
+                               remote_->remote_key(), k * kSlot, kSlot);
+          break;
+        default:
+          st = cqp_->PostRead(k + 1, local_, kReadBack + k * kSlot,
+                              remote_->remote_key(), kReadBack + k * kSlot,
+                              kSlot);
+      }
+      EXPECT_TRUE(st.ok()) << "op " << k;
+    }
+  });
+  auto wcs = DrainN(kOps);
+  ASSERT_EQ(wcs.size(), kOps);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+    EXPECT_EQ(wcs[i].opcode,
+              i % 3 == 2 ? rdma::Opcode::kRead : rdma::Opcode::kWrite);
+  }
+  for (uint64_t k = 0; k < kOps; k++) {
+    const uint8_t* landed =
+        k % 3 == 0 ? ring->data() + k * kSlot
+        : k % 3 == 1 ? remote_->data() + k * kSlot
+                     : local_->data() + kReadBack + k * kSlot;
+    const uint8_t* want = k % 3 == 2 ? remote_->data() + kReadBack + k * kSlot
+                                     : local_->data() + k * kSlot;
+    EXPECT_EQ(std::memcmp(landed, want, kSlot), 0) << "op " << k;
+  }
+}
+
+TEST_P(BackendRdmaTest, WriteIntoNotifiedRegionFiresTheNotifierOnce) {
+  // Pins the scope of the direct WRITE: a region with a remote-write
+  // notifier is a polled ring, and its poller must wake once per WRITE.
+  // On the socket backend such a WRITE stays framed, and the worker that
+  // applies it asks the loop to run the notifier.
+  int fired = 0;
+  const char msg[] = "into a polled ring";
+  std::memcpy(local_->data(), msg, sizeof(msg));
+  bool posted = false;
+  harness_->Run([&] {
+    remote_->SetRemoteWriteNotifier([&fired] { fired++; });
+    posted = cqp_->PostWrite(1, local_, 0, remote_->remote_key(), 128,
+                             sizeof(msg))
+                 .ok();
+  });
+  ASSERT_TRUE(posted);
+  auto wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kOk);
+  EXPECT_TRUE(harness_->Await([&] { return fired >= 1; }));
+  int fired_after = 0;
+  harness_->Run([&] {
+    fired_after = fired;
+    remote_->SetRemoteWriteNotifier({});
+  });
+  EXPECT_EQ(fired_after, 1);
+  EXPECT_EQ(std::memcmp(remote_->data() + 128, msg, sizeof(msg)), 0);
+}
+
+TEST_P(BackendRdmaTest, WriteToDeregisteredRegionIsProtectionError) {
+  bool posted = false;
+  harness_->Run([&] {
+    MemoryRegion* gone = server_nic_->RegisterMemory(4096);
+    const rdma::RemoteKey key = gone->remote_key();
+    server_nic_->DeregisterMemory(gone);
+    posted = cqp_->PostWrite(1, local_, 0, key, 0, 64).ok();
+  });
+  ASSERT_TRUE(posted);
+  auto wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
 }
 
 TEST_P(BackendRdmaTest, SendRecvDeliversToPostedBuffer) {
@@ -970,6 +1176,37 @@ TEST_P(InProcessRdmaTest, NicFailureFlushesReadsWhoseAcksAreQueued) {
   EXPECT_EQ(outstanding, 0u);
 }
 
+TEST_P(InProcessRdmaTest, NicFailureFlushesWritesWhoseAcksAreQueued) {
+  // The WRITE twin of the test above: on the socketpair backend these
+  // WRITEs land on the loop at post time, and their acks wait in the
+  // loop's mailbox when the NIC fails. Each still completes once, with
+  // kUnavailable.
+  harness_->Run([&] {
+    for (uint64_t i = 0; i < 4; i++) {
+      EXPECT_TRUE(cqp_->PostWrite(i + 1, local_, 64 * i, remote_->remote_key(),
+                                  64 * i, 64)
+                      .ok());
+    }
+    server_nic_->Fail();
+  });
+  auto wcs = DrainN(4);
+  ASSERT_EQ(wcs.size(), 4u);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].opcode, rdma::Opcode::kWrite);
+    EXPECT_EQ(wcs[i].status, StatusCode::kUnavailable);
+  }
+  size_t late = 0;
+  uint32_t outstanding = 1;
+  harness_->Run([&] {
+    WorkCompletion wc;
+    while (cqp_->send_cq().Poll(&wc, 1) == 1) late++;
+    outstanding = cqp_->outstanding();
+  });
+  EXPECT_EQ(late, 0u);
+  EXPECT_EQ(outstanding, 0u);
+}
+
 TEST_P(InProcessRdmaTest, ConnectingToAConnectedPeerFailsAtOnce) {
   // Connect() itself refuses a second QP dialing an already-connected
   // peer, and the established pair keeps moving bytes both ways.
@@ -1047,6 +1284,36 @@ TEST_P(FramedReadTest, LandingRegionDeregisteredInFlightIsProtectionError) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, FramedReadTest,
                          ::testing::Values(Backend::kSocketTcp), BackendName);
+
+// On the socketpair backend a WRITE between queue pairs of one process
+// lands on the loop at post time, so its epoch check happens then too. On
+// the simulator and over TCP it happens when the WRITE reaches the
+// responder, after the revocation below.
+class DirectWriteTest : public BackendRdmaTest {};
+
+TEST_P(DirectWriteTest, RevocationBetweenTwoWritesFencesTheSecond) {
+  const rdma::RemoteKey key = remote_->remote_key();
+  std::memset(remote_->data(), 0, 32);
+  std::memset(local_->data(), 0x5A, 32);
+  bool posted = false;
+  harness_->Run([&] {
+    posted = cqp_->PostWrite(1, local_, 0, key, 0, 16).ok();
+    remote_->RevokeEpoch();
+    posted = posted && cqp_->PostWrite(2, local_, 16, key, 16, 16).ok();
+  });
+  ASSERT_TRUE(posted);
+  auto wcs = DrainN(2);
+  ASSERT_EQ(wcs.size(), 2u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kOk);
+  EXPECT_EQ(wcs[1].status, StatusCode::kProtectionError);
+  for (int i = 0; i < 16; i++) {
+    ASSERT_EQ(remote_->data()[i], 0x5A) << "first write missing byte " << i;
+    ASSERT_EQ(remote_->data()[16 + i], 0) << "fenced write landed byte " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DirectWriteTest,
+                         ::testing::Values(Backend::kSocket), BackendName);
 
 // The socket NIC frees a deregistered region at once (the simulated NIC
 // keeps it through a grace period), so a SEND must not land in a posted
