@@ -237,7 +237,6 @@ inline PerfModel BuildOrLoadModel(const std::string& cache_path,
   w.window = 400 * kMicrosecond;
 
   OfflineModeler::Options opt;
-  opt.interpolate = true;
   opt.early_termination = true;
   PerfModel model = OfflineModeler::Build(
       bounds,

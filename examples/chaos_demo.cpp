@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   opts.client.region_bytes = 2 * kMiB;
   opts.client.max_retries = 6;
   opts.client.sub_op_timeout_ns = 200 * kMicrosecond;
-  opts.client.retry_backoff_ns = 5 * kMicrosecond;
   Testbed tb(opts);
 
   auto cache_or =

@@ -162,7 +162,6 @@ ScheduleExplorer::Scenario MigrationScenario(bool epoch_fencing) {
     opts.client.migration_chunk_bytes = 128 * kKiB;
     opts.client.max_retries = 6;
     opts.client.sub_op_timeout_ns = 200 * kMicrosecond;
-    opts.client.retry_backoff_ns = 5 * kMicrosecond;
     opts.client.epoch_fencing = epoch_fencing;
     opts.client.buggify = &buggify;
     opts.reclaim_notice = 30 * kMillisecond;
@@ -303,7 +302,6 @@ ScheduleExplorer::Scenario ChainedReadScenario(bool epoch_fencing) {
     opts.client.migration_chunk_bytes = 128 * kKiB;
     opts.client.max_retries = 6;
     opts.client.sub_op_timeout_ns = 200 * kMicrosecond;
-    opts.client.retry_backoff_ns = 5 * kMicrosecond;
     opts.client.epoch_fencing = epoch_fencing;
     opts.client.chain_reads = true;
     opts.client.buggify = &buggify;

@@ -65,7 +65,6 @@ class FlatMap {
   const V* Find(uint64_t key) const {
     return const_cast<FlatMap*>(this)->Find(key);
   }
-  bool Contains(uint64_t key) const { return Find(key) != nullptr; }
 
   /// Value for `key`, default-constructed and inserted if absent.
   V& operator[](uint64_t key) {

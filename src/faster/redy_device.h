@@ -18,14 +18,6 @@ namespace redy::faster {
 /// next tier. Submission backpressure (a full client batch ring) is
 /// absorbed with a short retry instead of being surfaced to FASTER.
 ///
-/// Graceful brownout (DESIGN.md §12): with a local fallback device
-/// installed (SetLocalFallback), front-door rejections from the cache
-/// client — tenant-quota ResourceExhausted, brownout Unavailable —
-/// degrade to the local tier instead of retrying into the overload.
-/// Fallback writes do not advance the Redy tier's high-water mark, so
-/// Covers() stays truthful and later reads of those bytes fall through
-/// to a tier that actually holds them.
-///
 /// Per-I/O join state (splitting a wrapping access into two cache ops
 /// and merging their completions) lives in a slab pool, so the piece
 /// callbacks capture only {this, record*} and the steady-state I/O
@@ -36,21 +28,9 @@ class RedyDevice : public IDevice {
              CacheClient::CacheId cache, uint64_t capacity)
       : sim_(sim), client_(client), cache_(cache), capacity_(capacity) {}
 
-  /// Installs a local-tier device (not owned) that absorbs work the
-  /// remote cache rejects under overload. 0 disables (legacy behavior:
-  /// indefinite short retries on backpressure).
-  void SetLocalFallback(IDevice* local) { fallback_ = local; }
-
   void ReadAsync(uint64_t offset, void* dst, uint64_t len,
                  Callback cb) override {
     if (!Covers(offset, len)) {
-      // Bytes the Redy tier never stored (evicted, or written during a
-      // brownout window) may still live in the local fallback.
-      if (fallback_ != nullptr && fallback_->Covers(offset, len)) {
-        fallback_reads_++;
-        fallback_->ReadAsync(offset, dst, len, std::move(cb));
-        return;
-      }
       cb(Status::NotFound("evicted from Redy tier"));
       return;
     }
@@ -83,9 +63,6 @@ class RedyDevice : public IDevice {
   std::string name() const override { return "redy"; }
   uint64_t capacity() const { return capacity_; }
   CacheClient::CacheId cache_id() const { return cache_; }
-  /// Pieces served by the local fallback under overload.
-  uint64_t fallback_reads() const { return fallback_reads_; }
-  uint64_t fallback_writes() const { return fallback_writes_; }
 
  private:
   /// Pooled per-I/O state: the device callback plus the join of the
@@ -96,14 +73,7 @@ class RedyDevice : public IDevice {
     Status error;
     uint64_t end = 0;
     int remaining = 0;
-    /// Set when any piece was served by the local fallback: the Redy
-    /// tier then must not claim coverage of the written range.
-    bool degraded = false;
   };
-
-  /// ResourceExhausted submissions retry this many times before
-  /// degrading to the fallback (when one is installed).
-  static constexpr uint32_t kFallbackAfterRetries = 4;
 
   /// Splits an access that wraps the modulo boundary into <= 2 cache
   /// ops and joins their completions on a pooled record.
@@ -116,21 +86,19 @@ class RedyDevice : public IDevice {
     p->error = Status::OK();
     p->end = end;
     p->remaining = first == len ? 1 : 2;
-    p->degraded = false;
-    SubmitOne(offset, a, dst, src, first, p, 0);
+    SubmitOne(a, dst, src, first, p);
     if (first < len) {
-      SubmitOne(offset + first, 0,
+      SubmitOne(0,
                 dst == nullptr ? nullptr
                                : static_cast<uint8_t*>(dst) + first,
                 src == nullptr ? nullptr
                                : static_cast<const uint8_t*>(src) + first,
-                len - first, p, 0);
+                len - first, p);
     }
   }
 
-  void SubmitOne(uint64_t log_offset, uint64_t cache_addr, void* dst,
-                 const void* src, uint64_t len, Pending* p,
-                 uint32_t attempts) {
+  void SubmitOne(uint64_t cache_addr, void* dst, const void* src,
+                 uint64_t len, Pending* p) {
     const uint32_t thread = next_thread_++;
     auto piece_cb = [this, p](Status s) { OnPiece(p, s); };
     static_assert(CacheClient::Callback::fits_inline<decltype(piece_cb)>(),
@@ -140,21 +108,10 @@ class RedyDevice : public IDevice {
             ? client_->Read(cache_, cache_addr, dst, len, piece_cb, thread)
             : client_->Write(cache_, cache_addr, src, len, piece_cb, thread);
     if (st.ok()) return;
-    // Brownout shed (Unavailable) degrades straight to the local tier;
-    // backpressure/quota (ResourceExhausted) gets a few short retries
-    // first — a momentarily full ring drains in ~one poll interval,
-    // only a sustained rejection stream is worth abandoning the tier.
-    if (fallback_ != nullptr &&
-        (st.IsUnavailable() ||
-         (st.IsResourceExhausted() && attempts >= kFallbackAfterRetries))) {
-      ServeFromFallback(log_offset, dst, src, len, p);
-      return;
-    }
     if (st.IsResourceExhausted()) {
       // Batch ring momentarily full: retry shortly.
-      auto retry = [this, log_offset, cache_addr, dst, src, len, p,
-                    attempts] {
-        SubmitOne(log_offset, cache_addr, dst, src, len, p, attempts + 1);
+      auto retry = [this, cache_addr, dst, src, len, p] {
+        SubmitOne(cache_addr, dst, src, len, p);
       };
       static_assert(sim::InlineFunction::fits_inline<decltype(retry)>(),
                     "submit retry must not heap-allocate");
@@ -164,32 +121,10 @@ class RedyDevice : public IDevice {
     OnPiece(p, st);
   }
 
-  void ServeFromFallback(uint64_t log_offset, void* dst, const void* src,
-                         uint64_t len, Pending* p) {
-    p->degraded = true;
-    auto piece_cb = [this, p](Status s) { OnPiece(p, s); };
-    if (src == nullptr) {
-      if (!fallback_->Covers(log_offset, len)) {
-        OnPiece(p, Status::NotFound("evicted from fallback tier"));
-        return;
-      }
-      fallback_reads_++;
-      fallback_->ReadAsync(log_offset, dst, len, piece_cb);
-    } else {
-      fallback_writes_++;
-      fallback_->WriteAsync(log_offset, src, len, piece_cb);
-    }
-  }
-
   void OnPiece(Pending* p, Status s) {
     if (!s.ok() && p->error.ok()) p->error = s;
     if (--p->remaining > 0) return;
-    // A degraded write landed (at least partly) outside the Redy tier:
-    // leaving high_water_ alone keeps Covers() truthful, so reads of
-    // those bytes fall through to a tier that has them.
-    if (p->error.ok() && !p->degraded && p->end > high_water_) {
-      high_water_ = p->end;
-    }
+    if (p->error.ok() && p->end > high_water_) high_water_ = p->end;
     // Release before firing: the callback may re-enter this device.
     Callback cb = std::move(p->cb);
     const Status err = p->error;
@@ -204,9 +139,6 @@ class RedyDevice : public IDevice {
   uint64_t capacity_;
   uint64_t high_water_ = 0;
   uint32_t next_thread_ = 0;
-  IDevice* fallback_ = nullptr;
-  uint64_t fallback_reads_ = 0;
-  uint64_t fallback_writes_ = 0;
   common::SlabPool<Pending> pending_pool_;
 };
 

@@ -20,31 +20,10 @@ class Link {
   /// Returns the time the last bit has been put on the wire.
   sim::SimTime Reserve(sim::SimTime now, uint64_t bytes) {
     const sim::SimTime start = now > next_free_ ? now : next_free_;
-    uint64_t wire = params_->WireTimeNs(bytes);
-    if (start < degraded_until_) {
-      // Fault injection: the port serializes slower during a
-      // degradation window (gray failure, not an outage).
-      wire = static_cast<uint64_t>(static_cast<double>(wire) *
-                                   degrade_factor_);
-    }
-    const sim::SimTime end = start + wire;
+    const sim::SimTime end = start + params_->WireTimeNs(bytes);
     next_free_ = end;
     bytes_sent_ += bytes;
     return end;
-  }
-
-  /// Fault injection: transfers starting before `until` serialize
-  /// `factor`x slower (factor < 1 is clamped to 1).
-  void Degrade(sim::SimTime until, double factor) {
-    degraded_until_ = until;
-    degrade_factor_ = factor < 1.0 ? 1.0 : factor;
-  }
-
-  /// Fault injection: holds the port busy for `ns` starting at `now`
-  /// (models a pause/flap consuming the port).
-  void Stall(sim::SimTime now, uint64_t ns) {
-    const sim::SimTime start = now > next_free_ ? now : next_free_;
-    next_free_ = start + ns;
   }
 
   /// Time at which the link next becomes idle.
@@ -54,8 +33,6 @@ class Link {
  private:
   const FabricParams* params_;
   sim::SimTime next_free_ = 0;
-  sim::SimTime degraded_until_ = 0;
-  double degrade_factor_ = 1.0;
   uint64_t bytes_sent_ = 0;
 };
 

@@ -50,12 +50,19 @@ class CacheClient {
   /// steady state allocates nothing (DESIGN.md §10). Move-only.
   using Callback = common::InlineCallable<void(Status), 64>;
 
+  /// Requested capacity of each client thread's batch ring (sub-ops);
+  /// SpscRing rounds it up. A full ring rejects submissions with
+  /// ResourceExhausted.
+  static constexpr uint32_t kBatchRingCapacity = 1 << 14;
+  /// Startup allowance (and balance floor) of the retry and hedge
+  /// budgets, in whole retries: a cold client can still retry its
+  /// first failures.
+  static constexpr double kBudgetMinReserve = 10.0;
+
   struct Options {
     /// Physical region size (1 GB in the paper; smaller by default here
     /// so simulations stay light — regions are real memory).
     uint64_t region_bytes = 64 * kMiB;
-    /// Capacity of each client thread's batch ring (requests).
-    uint32_t batch_ring_capacity = 1 << 14;
     /// Cap on regions per cache VM (0 = unlimited). A nonzero cap makes
     /// region fan-out across VMs deterministic and bounds how many
     /// regions one VM loss takes down.
@@ -86,9 +93,9 @@ class CacheClient {
     /// DeadlineExceeded (then retries, if enabled). 0 disables
     /// deadlines — a stalled NIC then blocks its ops forever.
     uint64_t sub_op_timeout_ns = 0;
-    /// Exponential backoff between retries (doubles per attempt, with
-    /// +-50% jitter to avoid synchronized retry storms), capped below.
-    uint64_t retry_backoff_ns = 5 * kMicrosecond;
+    /// Cap of the exponential backoff between retries (starts at 5 µs
+    /// and doubles per attempt, with +-50% jitter to avoid synchronized
+    /// retry storms).
     uint64_t retry_backoff_max_ns = 1 * kMillisecond;
 
     // --- Overload resilience (DESIGN.md §12) ---
@@ -101,9 +108,6 @@ class CacheClient {
     /// Same cap for hedged reads to replicas (health diversions and
     /// retry hedges). 0 = unbudgeted.
     double hedge_budget_fraction = 0.0;
-    /// Startup allowance (and balance floor) of both budgets, in whole
-    /// retries — a cold client can still retry its first failures.
-    double budget_min_reserve = 10.0;
     /// Per-VM circuit breakers: consecutive transport failures trip a
     /// VM open for `breaker_open_ns`; while open, reads divert to a
     /// healthy replica and other work sheds with Unavailable, then a
@@ -132,13 +136,6 @@ class CacheClient {
     /// stale keys then stay valid forever and a zombie write can land
     /// on a migrated (reassignable) region silently.
     bool epoch_fencing = true;
-    /// Lease TTL for two-sided configurations (s > 0). A write against
-    /// a region whose lease lapsed is deferred until a renewal round
-    /// trip confirms the client hasn't missed a revocation. Renewal
-    /// piggybacks on every successful two-sided response. 0 disables
-    /// lease gating (the NIC/server epoch check remains the hard
-    /// fence).
-    uint64_t lease_ttl_ns = 1 * kMillisecond;
     // --- NIC-offloaded op chains (DESIGN.md §15) ---
     /// Issue indirect (pointer-chase) reads as ONE chained doorbell
     /// (rdma::QueuePair::PostChain): the responder NIC resolves the
@@ -211,7 +208,6 @@ class CacheClient {
     uint64_t chained_reads = 0;        // served by one chained doorbell
     uint64_t chain_fallbacks = 0;      // served hop-by-hop (chaining off)
 
-    void Reset() { *this = Stats{}; }
     uint64_t ops_completed() const {
       return reads_completed + writes_completed;
     }
@@ -375,6 +371,13 @@ class CacheClient {
   const Options& options() const { return options_; }
 
  private:
+  /// The region walk behind Poke and Peek: copies cache bytes
+  /// [addr, addr + size) into `dst`, or from `src` when `dst` is null.
+  /// `what` names the caller in error messages.
+  Status CopyDirect(CacheId id, uint64_t addr, uint64_t size,
+                    const char* what, uint8_t* dst,
+                    const uint8_t* src) const;
+
   struct CacheEntry;
   struct ClientThread;
 
@@ -546,6 +549,7 @@ class CacheClient {
   /// owned by the telemetry registry (labels {"cache": id}), registered
   /// at Install and never reset — ResetStats re-bases the Stats view
   /// instead, so background pollers can keep incrementing concurrently.
+  /// Each counter is one row of kCounterFields.
   struct CacheCounters {
     telemetry::Counter* reads_completed = nullptr;
     telemetry::Counter* writes_completed = nullptr;
@@ -588,6 +592,17 @@ class CacheClient {
     telemetry::WindowedHistogram* write_latency = nullptr;
     telemetry::Gauge* inflight = nullptr;
   };
+
+  /// One per-cache counter: its registry name, its Stats member and its
+  /// CacheCounters member. kCounterFields (cache_client.cc) lists every
+  /// counter once, in registration order; registration, the Stats
+  /// snapshot and ResetStats all loop over it.
+  struct CounterField {
+    const char* metric;
+    uint64_t Stats::*stat;
+    telemetry::Counter* CacheCounters::*live;
+  };
+  static const CounterField kCounterFields[];
 
   struct CacheEntry {
     CacheId id = 0;

@@ -9,12 +9,15 @@
 
 namespace redy {
 
+namespace {
+
+/// Offline modeling's tolerance for "throughput did not improve".
+constexpr double kImprovementEpsilon = 0.01;
+
+}  // namespace
+
 void PerfModel::AddMeasurement(const RdmaConfig& cfg, PerfPoint point) {
   points_[Key(cfg)] = point;
-}
-
-bool PerfModel::HasMeasurement(const RdmaConfig& cfg) const {
-  return points_.count(Key(cfg)) > 0;
 }
 
 Result<PerfPoint> PerfModel::Measurement(const RdmaConfig& cfg) const {
@@ -156,24 +159,15 @@ PerfModel OfflineModeler::Build(const ConfigBounds& bounds,
   Stats local;
   local.space_size = bounds.SpaceSize();
 
-  // Grids (exhaustive values when interpolation is disabled).
+  // Power-of-two grids; Estimate interpolates everything in between.
+  const std::vector<uint32_t> c_all =
+      ConfigBounds::PowerOfTwoGrid(1, bounds.max_client_threads);
   std::vector<uint32_t> s_values = {0};
-  std::vector<uint32_t> c_all, b_all, q_all;
-  if (options.interpolate) {
-    for (uint32_t v :
-         ConfigBounds::PowerOfTwoGrid(1, bounds.max_client_threads)) {
-      s_values.push_back(v);
-    }
-    c_all = ConfigBounds::PowerOfTwoGrid(1, bounds.max_client_threads);
-    b_all = ConfigBounds::PowerOfTwoGrid(1, bounds.MaxBatch());
-    q_all = ConfigBounds::PowerOfTwoGrid(bounds.min_queue_depth,
-                                         bounds.max_queue_depth);
-  } else {
-    s_values = bounds.ServerThreadValues();
-    c_all = bounds.ClientThreadValues(0);
-    b_all = bounds.BatchValues(1);
-    q_all = bounds.QueueDepthValues();
-  }
+  s_values.insert(s_values.end(), c_all.begin(), c_all.end());
+  const std::vector<uint32_t> b_all =
+      ConfigBounds::PowerOfTwoGrid(1, bounds.MaxBatch());
+  const std::vector<uint32_t> q_all = ConfigBounds::PowerOfTwoGrid(
+      bounds.min_queue_depth, bounds.max_queue_depth);
 
   // Count grid size (respecting constraints) for reporting.
   for (uint32_t s : s_values) {
@@ -187,8 +181,8 @@ PerfModel OfflineModeler::Build(const ConfigBounds& bounds,
   // Pre-order, resource-efficient exploration: s outermost (cheapest
   // first), then c, then b, then q — with early termination per
   // parameter when raising it stops improving throughput.
-  auto improved = [&](double now, double before) {
-    return now > before * (1.0 + options.improvement_epsilon);
+  auto improved = [](double now, double before) {
+    return now > before * (1.0 + kImprovementEpsilon);
   };
 
   // Early termination is applied along the b and q ladders only: the

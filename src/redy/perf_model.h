@@ -24,7 +24,6 @@ class PerfModel {
   }
 
   void AddMeasurement(const RdmaConfig& cfg, PerfPoint point);
-  bool HasMeasurement(const RdmaConfig& cfg) const;
   Result<PerfPoint> Measurement(const RdmaConfig& cfg) const;
 
   /// Estimates performance of any valid configuration, interpolating
@@ -61,18 +60,15 @@ class PerfModel {
 };
 
 /// Builds a PerfModel by running measurements (Fig. 9's loop between the
-/// manager and the measurement application). The two Section 5.2
-/// optimizations can be toggled for the ablation bench:
-///  - interpolation: only measure power-of-two grid configurations;
+/// manager and the measurement application), with the two Section 5.2
+/// optimizations:
+///  - interpolation: only power-of-two grid configurations are measured;
 ///  - early termination: stop raising a parameter when the last increase
-///    stopped improving throughput.
+///    stopped improving throughput. The ablation bench toggles this one.
 class OfflineModeler {
  public:
   struct Options {
-    bool interpolate = true;
     bool early_termination = true;
-    /// Tolerance for "throughput did not improve".
-    double improvement_epsilon = 0.01;
   };
 
   struct Stats {

@@ -37,7 +37,6 @@ class ChaosTest : public ::testing::Test {
     o.client.region_bytes = 2 * kMiB;
     o.client.max_retries = 6;
     o.client.sub_op_timeout_ns = 200 * kMicrosecond;
-    o.client.retry_backoff_ns = 5 * kMicrosecond;
     o.client.retry_backoff_max_ns = 200 * kMicrosecond;
     return o;
   }

@@ -172,18 +172,19 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
   // Satellite of DESIGN.md §12: a full client batch ring used to be a
   // REDY_CHECK abort; it must now surface as ResourceExhausted while
   // every accepted op still completes.
-  TestbedOptions o = BaseOpts();
-  o.client.batch_ring_capacity = 8;
-  Testbed tb(o);
-  auto id_or =
-      tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{1, 0, 1, 8}, 64);
+  Testbed tb(BaseOpts());
+  // Four times the ring's capacity, one record each, all within the
+  // cache.
+  constexpr uint64_t kFlood = 4 * CacheClient::kBatchRingCapacity;
+  auto id_or = tb.client().CreateWithConfig(kFlood * kRecord,
+                                            RdmaConfig{1, 0, 1, 8}, 64);
   ASSERT_TRUE(id_or.ok());
 
   char buf[kRecord] = {3};
-  int completed = 0, accepted = 0, rejected = 0;
+  uint64_t completed = 0, accepted = 0, rejected = 0;
   // Tight submission loop, no simulation steps in between: the ring
   // cannot drain, so admissions stop at its capacity.
-  for (int i = 0; i < 32; i++) {
+  for (uint64_t i = 0; i < kFlood; i++) {
     Status st =
         tb.client().Write(*id_or, i * kRecord, buf, kRecord,
                           [&](Status cs) {
@@ -197,11 +198,12 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
       rejected++;
     }
   }
-  // The ring rounds its capacity up internally; what matters is that
-  // admissions stop at it and the overflow is a typed rejection.
-  EXPECT_EQ(accepted + rejected, 32);
-  EXPECT_GT(rejected, 0) << "the flood must hit the ring limit";
-  EXPECT_LT(accepted, 32);
+  EXPECT_EQ(accepted + rejected, kFlood);
+  EXPECT_GT(rejected, 0u) << "the flood must hit the ring limit";
+  EXPECT_LT(accepted, kFlood);
+  // The ring rounds its capacity up internally, so admissions stop at
+  // or past the requested capacity.
+  EXPECT_GE(accepted, CacheClient::kBatchRingCapacity);
   ASSERT_TRUE(RunUntil(tb, [&] { return completed == accepted; }));
   EXPECT_EQ(tb.client().stats(*id_or)->errors, 0u);
 }
@@ -214,7 +216,6 @@ TEST_F(OverloadTest, BusyPushbackShedsAndClientRetriesAbsorb) {
   o.server_overload.shed_high_watermark = 2;
   o.client.credit_flow = true;
   o.client.max_retries = 10;
-  o.client.retry_backoff_ns = 5 * kMicrosecond;
   o.client.retry_backoff_max_ns = 200 * kMicrosecond;
   o.client.sub_op_timeout_ns = 2 * kMillisecond;
   Testbed tb(o);
@@ -428,19 +429,17 @@ class OverloadSoakTest : public OverloadTest {
  protected:
   static constexpr double kRetryFraction = 0.2;
   static constexpr double kHedgeFraction = 0.1;
-  static constexpr double kMinReserve = 10.0;
+  static constexpr double kMinReserve = CacheClient::kBudgetMinReserve;
 
   static TestbedOptions SoakOpts() {
     TestbedOptions o = BaseOpts();
     // Resilience.
     o.client.max_retries = 6;
     o.client.sub_op_timeout_ns = 150 * kMicrosecond;
-    o.client.retry_backoff_ns = 5 * kMicrosecond;
     o.client.retry_backoff_max_ns = 200 * kMicrosecond;
     // Overload machinery, all on.
     o.client.retry_budget_fraction = kRetryFraction;
     o.client.hedge_budget_fraction = kHedgeFraction;
-    o.client.budget_min_reserve = kMinReserve;
     o.client.circuit_breakers = true;
     o.client.breaker_trip_failures = 4;
     o.client.breaker_open_ns = 200 * kMicrosecond;

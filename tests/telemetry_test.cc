@@ -446,6 +446,102 @@ TEST(TelemetryStatsTest, ResetStatsRebasesWithoutLosingIncrements) {
   EXPECT_EQ(lifetime->Value(), 15u);
 }
 
+// Every per-cache metric, in the order a metrics snapshot lists it,
+// and the Stats field each counter feeds. A renamed, dropped, reordered
+// or mis-wired counter changes the snapshot that same-seed runs compare
+// byte for byte, or the Stats a test reads.
+TEST(TelemetryStatsTest, CacheMetricsListInRegistrationOrder) {
+  struct Row {
+    const char* metric;
+    uint64_t CacheClient::Stats::*stat;
+  };
+  const std::vector<Row> counters = {
+      {"redy.client.reads_completed", &CacheClient::Stats::reads_completed},
+      {"redy.client.writes_completed", &CacheClient::Stats::writes_completed},
+      {"redy.client.read_bytes", &CacheClient::Stats::read_bytes},
+      {"redy.client.write_bytes", &CacheClient::Stats::write_bytes},
+      {"redy.client.errors", &CacheClient::Stats::errors},
+      {"redy.client.one_sided_ops", &CacheClient::Stats::one_sided_ops},
+      {"redy.client.batched_ops", &CacheClient::Stats::batched_ops},
+      {"redy.client.parked_ops", &CacheClient::Stats::parked_ops},
+      {"redy.client.retries", &CacheClient::Stats::retries},
+      {"redy.client.timeouts", &CacheClient::Stats::timeouts},
+      {"redy.client.reconnects", &CacheClient::Stats::reconnects},
+      {"redy.client.hedged_to_replica", &CacheClient::Stats::hedged_to_replica},
+      {"redy.recovery.migration_resumes",
+       &CacheClient::Stats::migration_resumes},
+      {"redy.recovery.migration_retargets",
+       &CacheClient::Stats::migration_retargets},
+      {"redy.recovery.repairs_started", &CacheClient::Stats::repairs_started},
+      {"redy.recovery.repairs_completed",
+       &CacheClient::Stats::repairs_completed},
+      {"redy.recovery.storm_regions_lost",
+       &CacheClient::Stats::storm_regions_lost},
+      {"fence.revocations", &CacheClient::Stats::fence_revocations},
+      {"fence.stale_rejected", &CacheClient::Stats::fence_stale_rejected},
+      {"fence.redirects", &CacheClient::Stats::fence_redirects},
+      {"fence.lease_renewals", &CacheClient::Stats::lease_renewals},
+      {"fence.lease_expirations", &CacheClient::Stats::lease_expirations},
+      {"integrity.checksum_mismatches",
+       &CacheClient::Stats::checksum_mismatches},
+      {"integrity.chunks_verified", &CacheClient::Stats::chunks_verified},
+      {"overload.admission_rejected", &CacheClient::Stats::admission_rejected},
+      {"overload.shed_ops", &CacheClient::Stats::shed_ops},
+      {"overload.shed_bytes", &CacheClient::Stats::shed_bytes},
+      {"overload.busy_pushbacks", &CacheClient::Stats::busy_pushbacks},
+      {"overload.retry_budget_exhausted",
+       &CacheClient::Stats::retry_budget_exhausted},
+      {"overload.hedge_budget_exhausted",
+       &CacheClient::Stats::hedge_budget_exhausted},
+      {"overload.hedge_suppressed", &CacheClient::Stats::hedge_suppressed},
+      {"overload.breaker_trips", &CacheClient::Stats::breaker_trips},
+      {"overload.breaker_probes", &CacheClient::Stats::breaker_probes},
+      {"overload.brownout_trips", &CacheClient::Stats::brownout_trips},
+      {"redy.client.indirect_reads", &CacheClient::Stats::indirect_reads},
+      {"redy.client.chained_reads", &CacheClient::Stats::chained_reads},
+      {"redy.client.chain_fallbacks", &CacheClient::Stats::chain_fallbacks},
+  };
+  Testbed tb;
+  auto id_or = tb.client().CreateWithConfig(8 * kMiB, RdmaConfig{1, 0, 1, 8},
+                                            64);
+  ASSERT_TRUE(id_or.ok());
+  const std::string id = std::to_string(*id_or);
+
+  std::vector<std::string> expected;
+  for (const Row& r : counters) expected.push_back(r.metric);
+  expected.insert(expected.end(),
+                  {"redy.client.read_latency_ns",
+                   "redy.client.write_latency_ns",
+                   "redy.client.inflight_ops"});
+  const std::string json = tb.telemetry().metrics().ToJson();
+  const std::string name_key = "{\"name\":\"";
+  const std::string labels = ",\"labels\":{\"cache\":\"" + id + "\"}";
+  std::vector<std::string> listed;
+  for (size_t pos = json.find(name_key); pos != std::string::npos;
+       pos = json.find(name_key, pos + 1)) {
+    const size_t begin = pos + name_key.size();
+    const size_t end = json.find('"', begin);
+    if (json.compare(end + 1, labels.size(), labels) == 0) {
+      listed.push_back(json.substr(begin, end - begin));
+    }
+  }
+  EXPECT_EQ(listed, expected);
+
+  // Counter i moves its own Stats field, by i + 1, and no other.
+  const CacheClient::Stats before = *tb.client().stats(*id_or);
+  for (size_t i = 0; i < counters.size(); i++) {
+    tb.telemetry()
+        .metrics()
+        .GetCounter(counters[i].metric, {{"cache", id}})
+        ->Inc(i + 1);
+  }
+  const CacheClient::Stats* after = tb.client().stats(*id_or);
+  for (size_t i = 0; i < counters.size(); i++) {
+    EXPECT_EQ(after->*counters[i].stat - before.*counters[i].stat, i + 1)
+        << counters[i].metric;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Overhead guard: with tracing disabled, the telemetry primitives on
 // the hot path allocate nothing, and a warm Read batch has a stable
