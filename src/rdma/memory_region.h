@@ -33,12 +33,8 @@ class MemoryRegion {
   RemoteKey remote_key() const { return RemoteKey{rkey_, epoch()}; }
   Nic* nic() const { return nic_; }
 
-  /// Access epoch for fenced one-sided writes. Bumping it (a revocation)
-  /// invalidates every RemoteKey minted before the bump: stale-epoch
-  /// WRITEs complete with kProtectionError. Reads are deliberately not
-  /// epoch-checked — a revoked region is write-frozen but stays readable
-  /// until deregistration (migration chunk copies and un-paused reads
-  /// keep working through the cutover).
+  /// Access epoch; bumping it (a revocation) makes every RemoteKey
+  /// minted before the bump stale (the fence: DESIGN.md §7).
   ///
   /// Atomic because the socket backend's responder workers enforce the
   /// fence off the application loop (DESIGN.md §13): release/acquire

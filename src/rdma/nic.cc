@@ -46,15 +46,10 @@ void Nic::DeregisterMemory(MemoryRegion* mr) {
   }
 }
 
-Result<MemoryRegion*> Nic::Resolve(RemoteKey key, bool check_epoch) {
-  auto it = regions_.find(key.rkey);
-  if (it == regions_.end() || !it->second->valid()) {
-    return Status::ProtectionError("no region for rkey");
-  }
-  if (check_epoch && key.epoch != it->second->epoch()) {
-    return Status::ProtectionError("stale rkey epoch");
-  }
-  return it->second.get();
+MemoryRegion* Nic::Resolve(uint32_t rkey) const {
+  auto it = regions_.find(rkey);
+  return it == regions_.end() || !it->second->valid() ? nullptr
+                                                      : it->second.get();
 }
 
 QueuePair* Nic::CreateQueuePair(uint32_t max_depth) {

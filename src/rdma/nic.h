@@ -10,7 +10,6 @@
 
 #include "common/units.h"
 
-#include "common/result.h"
 #include "net/fabric_params.h"
 #include "net/link.h"
 #include "net/topology.h"
@@ -53,13 +52,9 @@ class Nic {
   /// Deregisters a region: remote accesses start failing.
   virtual void DeregisterMemory(MemoryRegion* mr);
 
-  /// Resolves an access token to a region on this NIC. Fails with
-  /// kProtectionError when the region is gone (deregistered) or, if
-  /// `check_epoch` is set, when the key's access epoch is stale — a
-  /// revoked rkey. WRITE landings check the epoch; READ landings pass
-  /// check_epoch=false (revoked regions stay readable, see
-  /// MemoryRegion::epoch()).
-  virtual Result<MemoryRegion*> Resolve(RemoteKey key, bool check_epoch = true);
+  /// The registered, still-valid region under `rkey`, or nullptr. The
+  /// epoch fence is the responder's (rdma/responder.h).
+  MemoryRegion* Resolve(uint32_t rkey) const;
 
   /// Creates a queue pair on this NIC (unconnected).
   virtual QueuePair* CreateQueuePair(uint32_t max_depth);

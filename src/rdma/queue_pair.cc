@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "rdma/nic.h"
+#include "rdma/responder.h"
 #include "sim/inline_function.h"
 #include "telemetry/telemetry.h"
 
@@ -198,18 +199,14 @@ Status QueuePair::PostWrite(uint64_t wr_id, const MemoryRegion* mr,
     if (doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
       wc.status = StatusCode::kUnavailable;
     } else {
-      // The fence: a WRITE whose rkey no longer resolves (deregistered
-      // region) or carries a stale access epoch (revoked key) must not
-      // deposit a single byte — it completes with kProtectionError.
-      auto mr_or = peer_->nic_->Resolve(key);
-      if (!mr_or.ok()) {
-        wc.status = mr_or.status().code();
+      MemoryRegion* rmr = peer_->nic_->Resolve(key.rkey);
+      wc.status = rmr == nullptr
+                      ? StatusCode::kProtectionError
+                      : responder::Write(*rmr, key.epoch, remote_offset,
+                                         payload->data(), len);
+      if (wc.status == StatusCode::kOk) rmr->NotifyRemoteWrite();
+      if (wc.status == StatusCode::kProtectionError) {
         peer_->nic_->CountProtectionError();
-      } else if (!(*mr_or)->InBounds(remote_offset, len)) {
-        wc.status = StatusCode::kAborted;  // remote access error
-      } else {
-        std::memcpy((*mr_or)->data() + remote_offset, payload->data(), len);
-        (*mr_or)->NotifyRemoteWrite();
       }
     }
     ReleasePayload(payload);
@@ -269,14 +266,8 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
   ReadOp* op = read_op_pool_.Acquire();
   *op = ReadOp{wr_id, mr, local_offset, key, remote_offset, len, span, doomed};
   auto arrive = [this, seq, op]() {
-    const uint64_t wr_id = op->wr_id;
-    MemoryRegion* mr = op->mr;
-    const uint64_t local_offset = op->local_offset;
-    const RemoteKey key = op->key;
-    const uint64_t remote_offset = op->remote_offset;
-    const uint64_t len = op->len;
-    const uint64_t span = op->span;
-    const bool doomed = op->doomed;
+    const auto [wr_id, mr, local_offset, key, remote_offset, len, span,
+                doomed] = *op;
     read_op_pool_.Release(op);
 
     const net::FabricParams& p = nic_->params();
@@ -285,40 +276,29 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
                       static_cast<uint32_t>(len), 0};
     const uint64_t one_way =
         nic_->fabric()->OneWayNs(nic_->server(), peer_->nic_->server());
-    auto end_read_span = [this, span](sim::SimTime ts) {
-      if (span == 0) return;
-      if (telemetry::SpanTracer* tr = ActiveTracer()) {
-        tr->AsyncEnd(TraceTrack(*tr), "read", "wqe", span, ts);
-      }
-    };
-    if (doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
-      wc.status = StatusCode::kUnavailable;
-      end_read_span(sim->Now());
-      Complete(seq, wc, sim->Now() + one_way);
-      return;
-    }
-    // Reads skip the epoch check: a revoked region is write-frozen but
-    // stays readable until deregistration (migration chunk copies read
-    // the frozen source through the cutover).
-    auto mr_or = peer_->nic_->Resolve(key, /*check_epoch=*/false);
-    if (!mr_or.ok()) {
-      wc.status = mr_or.status().code();
-      peer_->nic_->CountProtectionError();
-      end_read_span(sim->Now());
-      Complete(seq, wc, sim->Now() + one_way);
-      return;
-    }
-    if (!(*mr_or)->InBounds(remote_offset, len)) {
-      wc.status = StatusCode::kAborted;
-      end_read_span(sim->Now());
-      Complete(seq, wc, sim->Now() + one_way);
-      return;
-    }
     // Responder NIC fetches the data over PCIe, then serializes the
     // response on its own transmit link.
     std::vector<uint8_t>* payload = AcquirePayload();
-    payload->assign((*mr_or)->data() + remote_offset,
-                    (*mr_or)->data() + remote_offset + len);
+    payload->resize(len);
+    const MemoryRegion* rmr = nullptr;
+    if (doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
+      wc.status = StatusCode::kUnavailable;
+    } else if ((rmr = peer_->nic_->Resolve(key.rkey)) == nullptr) {
+      wc.status = StatusCode::kProtectionError;
+      peer_->nic_->CountProtectionError();
+    } else {
+      wc.status = responder::Read(*rmr, remote_offset, len, payload->data());
+    }
+    if (wc.status != StatusCode::kOk) {
+      ReleasePayload(payload);
+      if (span != 0) {
+        if (telemetry::SpanTracer* tr = ActiveTracer()) {
+          tr->AsyncEnd(TraceTrack(*tr), "read", "wqe", span, sim->Now());
+        }
+      }
+      Complete(seq, wc, sim->Now() + one_way);
+      return;
+    }
     FaultHooks* hooks = nic_->fabric()->fault_hooks();
     const uint64_t resp_extra =
         hooks == nullptr
@@ -363,24 +343,25 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
 Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
                             const ChainHop* hops, uint32_t num_hops) {
   REDY_RETURN_IF_ERROR(CheckPostable());
-  if (num_hops == 0 || num_hops > kMaxChainHops) {
-    return Status::InvalidArgument("bad chain length");
-  }
-  uint64_t write_bytes = 0;
-  for (uint32_t i = 0; i < num_hops; i++) {
-    const ChainHop& h = hops[i];
-    if (!mr->InBounds(h.local_offset, h.len)) {
-      return Status::OutOfRange("chain hop local range out of bounds");
-    }
-    if (h.addr_from_prev &&
-        (i == 0 || hops[i - 1].is_write || hops[i - 1].len < 8)) {
-      return Status::InvalidArgument(
-          "dependent hop needs a preceding >=8 B read hop");
-    }
-    if (h.is_write) write_bytes += h.len;
-  }
+  REDY_RETURN_IF_ERROR(responder::ValidateChain(*mr, hops, num_hops));
   outstanding_++;
   const uint64_t seq = next_post_seq_++;
+
+  // Write-hop payloads snapshot at post time (inlined into the WQE
+  // block or DMA-fetched by fetch_done, which precedes req_arrive), so
+  // the responder-side steps never touch client memory.
+  std::vector<uint8_t>* wpay = nullptr;
+  for (uint32_t i = 0; i < num_hops; i++) {
+    const ChainHop& h = hops[i];
+    if (!h.is_write) continue;
+    if (wpay == nullptr) {
+      wpay = AcquirePayload();
+      wpay->clear();
+    }
+    wpay->insert(wpay->end(), mr->data() + h.local_offset,
+                 mr->data() + h.local_offset + h.len);
+  }
+  const uint64_t write_bytes = wpay == nullptr ? 0 : wpay->size();
 
   const net::FabricParams& p = nic_->params();
   sim::Simulation* sim = nic_->sim();
@@ -417,34 +398,9 @@ Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
     tr->AsyncEnd(tk, "req_wire", "wqe", span, req_wire_end);
   }
 
-  // Write-hop payloads snapshot at post time (inlined into the WQE
-  // block or DMA-fetched by fetch_done, which precedes req_arrive), so
-  // the responder-side steps never touch client memory.
-  std::vector<uint8_t>* wpay = nullptr;
-  if (write_bytes > 0) {
-    wpay = AcquirePayload();
-    wpay->clear();
-    for (uint32_t i = 0; i < num_hops; i++) {
-      const ChainHop& h = hops[i];
-      if (!h.is_write) continue;
-      wpay->insert(wpay->end(), mr->data() + h.local_offset,
-                   mr->data() + h.local_offset + h.len);
-    }
-  }
-
   ChainOp* op = chain_op_pool_.Acquire();
-  op->wr_id = wr_id;
-  op->mr = mr;
+  *op = ChainOp{wr_id, mr, {}, num_hops, 0, 0, span, doomed, nullptr, wpay, 0};
   std::copy(hops, hops + num_hops, op->hops);
-  op->num_hops = num_hops;
-  op->hop = 0;
-  op->prev_word = 0;
-  op->total_read = 0;
-  op->span = span;
-  op->doomed = doomed;
-  op->rpay = nullptr;
-  op->wpay = wpay;
-  op->wpay_off = 0;
 
   auto arrive = [this, seq, op]() { ChainStep(seq, op); };
   static_assert(sim::InlineFunction::fits_inline<decltype(arrive)>(),
@@ -484,53 +440,39 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
   sim::Simulation* sim = nic_->sim();
   FaultHooks* hooks = nic_->fabric()->fault_hooks();
 
-  if (op->doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
-    ChainAbort(seq, op, StatusCode::kUnavailable);
-    return;
-  }
   // Each WAIT-gate re-consults the fault hooks: a link flap that opens
   // after hop N kills hop N+1 mid-chain (hop 0 is covered by the
   // post-time `doomed` roll, exactly like a plain READ).
-  if (op->hop > 0 && hooks != nullptr &&
-      hooks->WqeError(nic_->server(), peer_->nic_->server())) {
+  if (op->doomed || broken_ || peer_ == nullptr || peer_->nic_->failed() ||
+      (op->hop > 0 && hooks != nullptr &&
+       hooks->WqeError(nic_->server(), peer_->nic_->server()))) {
     ChainAbort(seq, op, StatusCode::kUnavailable);
     return;
   }
 
   const ChainHop& h = op->hops[op->hop];
-  // Chains fence EVERY hop, reads included: a dependent chase must not
-  // follow a pointer into a region whose access epoch moved mid-chain
-  // (plain READs pass check_epoch=false; see PostRead).
-  auto mr_or = peer_->nic_->Resolve(h.key, /*check_epoch=*/true);
-  if (!mr_or.ok()) {
-    peer_->nic_->CountProtectionError();
-    ChainAbort(seq, op, mr_or.status().code());
-    return;
+  if (!h.is_write && op->rpay == nullptr) {
+    op->rpay = AcquirePayload();
+    op->rpay->clear();
   }
-  uint64_t ro = h.remote_offset;
-  if (h.addr_from_prev) {
-    ro += (op->prev_word & h.addr_mask) >> h.addr_shift;
-  }
-  if (!(*mr_or)->InBounds(ro, h.len)) {
-    ChainAbort(seq, op, StatusCode::kAborted);
-    return;
-  }
-
-  if (h.is_write) {
-    std::memcpy((*mr_or)->data() + ro, op->wpay->data() + op->wpay_off, h.len);
-    op->wpay_off += h.len;
-    (*mr_or)->NotifyRemoteWrite();
-  } else {
-    if (op->rpay == nullptr) {
-      op->rpay = AcquirePayload();
-      op->rpay->clear();
+  MemoryRegion* rmr = peer_->nic_->Resolve(h.key.rkey);
+  const StatusCode code =
+      rmr == nullptr
+          ? StatusCode::kProtectionError
+          : responder::ChainHop(
+                *rmr, h, &op->prev_word,
+                h.is_write ? op->wpay->data() + op->wpay_off : nullptr,
+                op->rpay);
+  if (code != StatusCode::kOk) {
+    if (code == StatusCode::kProtectionError) {
+      peer_->nic_->CountProtectionError();
     }
-    const uint8_t* data = (*mr_or)->data() + ro;
-    op->rpay->insert(op->rpay->end(), data, data + h.len);
-    uint64_t word = 0;
-    std::memcpy(&word, data, h.len < 8 ? h.len : 8);
-    op->prev_word = word;
-    op->total_read += h.len;
+    ChainAbort(seq, op, code);
+    return;
+  }
+  if (h.is_write) {
+    op->wpay_off += h.len;
+    rmr->NotifyRemoteWrite();
   }
 
   nic_->CountChainHop();
@@ -567,7 +509,7 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
           : hooks->ExtraLatencyNs(peer_->nic_->server(), nic_->server());
   const sim::SimTime fetch_done = sim->Now() + p.pcie_fetch_ns;
   const sim::SimTime resp_wire_end =
-      peer_->nic_->tx_link().Reserve(fetch_done, op->total_read);
+      peer_->nic_->tx_link().Reserve(fetch_done, op->total_read());
   const sim::SimTime landed =
       resp_wire_end + one_way + p.nic_remote_dma_ns + resp_extra;
   if (op->span != 0) {
@@ -586,19 +528,12 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
 
 void QueuePair::ChainLand(uint64_t seq, ChainOp* op) {
   WorkCompletion wc{op->wr_id, Opcode::kChain, StatusCode::kOk,
-                    static_cast<uint32_t>(op->total_read), 0};
+                    static_cast<uint32_t>(op->total_read()), 0};
   if (broken_) {
     wc.status = StatusCode::kUnavailable;
   } else if (op->rpay != nullptr) {
-    // Scatter the concatenated read payloads to each hop's local
-    // landing offset, in hop order.
-    const uint8_t* from = op->rpay->data();
-    for (uint32_t i = 0; i < op->num_hops; i++) {
-      const ChainHop& h = op->hops[i];
-      if (h.is_write) continue;
-      std::memcpy(op->mr->data() + h.local_offset, from, h.len);
-      from += h.len;
-    }
+    responder::ScatterChainReads(op->hops, op->num_hops, op->rpay->data(),
+                                 *op->mr);
   }
   const sim::SimTime now = nic_->sim()->Now();
   ReleaseChainOp(op);

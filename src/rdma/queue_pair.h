@@ -154,12 +154,13 @@ class QueuePair {
     uint32_t num_hops;
     uint32_t hop;                // responder cursor: next hop to execute
     uint64_t prev_word;          // first 8 B of the last READ hop's payload
-    uint64_t total_read;         // read bytes accumulated so far
     uint64_t span;               // chain trace span (0 = tracing off)
     bool doomed;                 // fault-injected at post time
     std::vector<uint8_t>* rpay;  // concatenated read payloads (pooled)
     std::vector<uint8_t>* wpay;  // concatenated write payloads (pooled)
     uint64_t wpay_off;           // consumed prefix of wpay
+
+    uint64_t total_read() const { return rpay == nullptr ? 0 : rpay->size(); }
   };
 
   /// Responder-side chain machinery (sim backend): executes one hop at

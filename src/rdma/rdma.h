@@ -26,9 +26,8 @@ enum class Opcode : uint8_t {
 ///
 /// `epoch` is the access epoch the key was minted under. Revoking a
 /// region (at migration cutover, before its VM can be reassigned) bumps
-/// the region's epoch, so every outstanding key becomes stale and
-/// one-sided WRITEs carrying it fail with kProtectionError instead of
-/// landing on memory that may now belong to someone else.
+/// the region's epoch, so every outstanding key becomes stale and is
+/// fenced (rdma/responder.h).
 struct RemoteKey {
   uint32_t rkey = 0;
   uint32_t epoch = 0;
@@ -52,10 +51,7 @@ inline constexpr uint32_t kMaxChainHops = 8;
 ///   remote = remote_offset + ((word & addr_mask) >> addr_shift)
 /// — i.e. a remote pointer chase resolved in one client doorbell.
 ///
-/// Every hop (reads included) is epoch-checked against its RemoteKey:
-/// a dependent chase must never follow a pointer into a region whose
-/// epoch moved mid-chain, so chains are fenced strictly tighter than
-/// plain READs (which only fence on WRITE).
+/// Every hop, reads included, is fenced (DESIGN.md §7).
 struct ChainHop {
   RemoteKey key;
   uint64_t remote_offset = 0;

@@ -50,9 +50,8 @@ class CacheClient {
   /// steady state allocates nothing (DESIGN.md §10). Move-only.
   using Callback = common::InlineCallable<void(Status), 64>;
 
-  /// Requested capacity of each client thread's batch ring (sub-ops);
-  /// SpscRing rounds it up. A full ring rejects submissions with
-  /// ResourceExhausted.
+  /// Capacity of each client thread's batch ring (sub-ops). A full ring
+  /// rejects submissions with ResourceExhausted.
   static constexpr uint32_t kBatchRingCapacity = 1 << 14;
   /// Startup allowance (and balance floor) of the retry and hedge
   /// budgets, in whole retries: a cold client can still retry its

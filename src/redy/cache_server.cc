@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "rdma/responder.h"
 #include "sim/inline_function.h"
 
 namespace redy {
@@ -342,25 +343,22 @@ uint64_t CacheServer::ProcessBatch(Connection& conn, uint32_t backlog,
     } else if (rh.op == OpCode::kLease) {
       resp.status = static_cast<uint8_t>(StatusCode::kOk);
     } else if (rh.op == OpCode::kWrite) {
-      if (rh.epoch != region->epoch()) {
-        // Fenced: the key this write was issued under was revoked at a
-        // migration cutover. Reject loudly instead of landing it on
-        // memory that may have moved on.
-        resp.status = static_cast<uint8_t>(StatusCode::kProtectionError);
-      } else {
-        std::memcpy(region->data() + rh.offset, req, rh.len);
+      // A write under a key revoked at a migration cutover is fenced
+      // (kProtectionError) instead of landing on memory that may have
+      // moved on.
+      resp.status = static_cast<uint8_t>(
+          rdma::responder::Write(*region, rh.epoch, rh.offset, req, rh.len));
+      if (resp.status == static_cast<uint8_t>(StatusCode::kOk)) {
         consumed +=
             static_cast<uint64_t>(costs_.server_ns_per_byte * rh.len);
-        resp.status = static_cast<uint8_t>(StatusCode::kOk);
       }
     } else if (rh.op == OpCode::kReadPtr) {
       // Server-side pointer chase: the two-sided twin of the NIC op
       // chain (DESIGN.md §15). Resolve the 8-byte pointer word, then
       // serve the data it names — one request, one response, one
-      // client wakeup for the whole dependent sequence. Like chain
-      // hops (and unlike plain reads), the chase is epoch-fenced: a
-      // dependent read must not follow a pointer past an epoch bump.
-      if (rh.epoch != region->epoch()) {
+      // client wakeup for the whole dependent sequence. Fenced like a
+      // chain hop.
+      if (rdma::responder::Fence(*region, rh.epoch) != StatusCode::kOk) {
         resp.status = static_cast<uint8_t>(StatusCode::kProtectionError);
       } else {
         uint64_t word = 0;
@@ -380,13 +378,11 @@ uint64_t CacheServer::ProcessBatch(Connection& conn, uint32_t backlog,
         }
       }
     } else {
-      // Read: copy region bytes into the response payload. Reads are
-      // deliberately not epoch-fenced — a revoked region stays
-      // readable until deregistration.
-      std::memcpy(resp_base + resp_off + sizeof(ResponseHeader),
-                  region->data() + rh.offset, rh.len);
+      // Read: copy region bytes into the response payload.
+      resp.status = static_cast<uint8_t>(rdma::responder::Read(
+          *region, rh.offset, rh.len,
+          resp_base + resp_off + sizeof(ResponseHeader)));
       consumed += static_cast<uint64_t>(costs_.server_ns_per_byte * rh.len);
-      resp.status = static_cast<uint8_t>(StatusCode::kOk);
       resp.len = rh.len;
     }
     resp.checksum =

@@ -24,16 +24,17 @@ namespace redy::ringbuf {
 /// lines, so the two endpoints never false-share. The cached snapshots
 /// cut cross-core traffic further: the hot path compares against the
 /// local copy and re-reads the opposite atomic only when the ring looks
-/// full (producer) or empty (consumer).
+/// full (producer) or empty (consumer). head_ and tail_ count pushes
+/// and pops; the ring is full when they are `capacity` apart, so it
+/// admits exactly the capacity asked for.
 template <typename T>
 class SpscRing {
  public:
-  /// Capacity is rounded up to a power of two; usable slots = capacity.
-  explicit SpscRing(size_t capacity) {
-    size_t cap = 1;
-    while (cap < capacity + 1) cap <<= 1;  // one slot kept empty
-    buf_.resize(cap);
-    mask_ = cap - 1;
+  explicit SpscRing(size_t capacity) : capacity_(capacity) {
+    size_t slots = 1;
+    while (slots < capacity) slots <<= 1;
+    buf_.resize(slots);
+    mask_ = slots - 1;
   }
 
   SpscRing(const SpscRing&) = delete;
@@ -42,13 +43,12 @@ class SpscRing {
   /// Producer side. Returns false when full.
   bool TryPush(T value) {
     const size_t head = head_.load(std::memory_order_relaxed);
-    const size_t next = (head + 1) & mask_;
-    if (next == cached_tail_) {
+    if (head - cached_tail_ == capacity_) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (next == cached_tail_) return false;
+      if (head - cached_tail_ == capacity_) return false;
     }
-    buf_[head] = std::move(value);
-    head_.store(next, std::memory_order_release);
+    buf_[head & mask_] = std::move(value);
+    head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
@@ -59,8 +59,8 @@ class SpscRing {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail == cached_head_) return std::nullopt;
     }
-    T value = std::move(buf_[tail]);
-    tail_.store((tail + 1) & mask_, std::memory_order_release);
+    T value = std::move(buf_[tail & mask_]);
+    tail_.store(tail + 1, std::memory_order_release);
     return value;
   }
 
@@ -71,7 +71,7 @@ class SpscRing {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail == cached_head_) return nullptr;
     }
-    return &buf_[tail];
+    return &buf_[tail & mask_];
   }
 
   bool Empty() const {
@@ -81,12 +81,13 @@ class SpscRing {
 
   /// Approximate size (exact when called from either endpoint's thread).
   size_t Size() const {
-    const size_t head = head_.load(std::memory_order_acquire);
+    // tail first: head only grows, so it cannot fall behind tail.
     const size_t tail = tail_.load(std::memory_order_acquire);
-    return (head - tail) & mask_;
+    const size_t head = head_.load(std::memory_order_acquire);
+    return head - tail;
   }
 
-  size_t Capacity() const { return mask_; }
+  size_t Capacity() const { return capacity_; }
 
   /// Layout probes for tests: the two index lines must be 64-byte
   /// aligned and distinct (see ringbuf_test.cc).
@@ -95,6 +96,7 @@ class SpscRing {
 
  private:
   std::vector<T> buf_;
+  size_t capacity_;
   size_t mask_;
   /// Producer-owned line: write index + cached copy of the consumer's.
   alignas(kCacheLineBytes) std::atomic<size_t> head_{0};

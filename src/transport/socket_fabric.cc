@@ -8,9 +8,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
+#include "rdma/responder.h"
 
 namespace redy::transport {
 
@@ -57,6 +57,20 @@ bool WriteFully(int fd, const std::vector<uint8_t>& buf) {
     return false;
   }
   return true;
+}
+
+ChainHopWire ToWire(const rdma::ChainHop& h) {
+  const int flags = (h.addr_from_prev ? ChainHopWire::kAddrFromPrev : 0) |
+                    (h.is_write ? ChainHopWire::kIsWrite : 0);
+  return {h.key.rkey, h.key.epoch, h.remote_offset, h.local_offset, h.len,
+          h.addr_mask, h.addr_shift, static_cast<uint8_t>(flags)};
+}
+
+rdma::ChainHop FromWire(const ChainHopWire& w) {
+  return {{w.rkey, w.epoch}, w.remote_offset, w.local_offset, w.len,
+          w.addr_mask, w.addr_shift,
+          (w.flags & ChainHopWire::kAddrFromPrev) != 0,
+          (w.flags & ChainHopWire::kIsWrite) != 0};
 }
 
 }  // namespace
@@ -169,15 +183,12 @@ SocketFabric* SocketQueuePair::PeerFabric() const {
 
 bool SocketQueuePair::MustFollowFramedOp(bool write, uint32_t rkey,
                                          uint64_t offset, uint64_t len) const {
-  const auto is_write_hop = [](const ChainHopWire& w) {
-    return (w.flags & ChainHopWire::kIsWrite) != 0;
-  };
   for (size_t i = 0; i < pending_.size(); i++) {
     const PendingOp& op = pending_[i];
     if (op.direct || op.done) continue;  // its bytes have moved
     if (op.opcode == rdma::Opcode::kChain) {
       if (write || std::any_of(op.chain_hops.begin(), op.chain_hops.end(),
-                               is_write_hop)) {
+                               [](const auto& h) { return h.is_write; })) {
         return true;
       }
     } else if ((op.opcode == rdma::Opcode::kWrite ||
@@ -201,16 +212,19 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   op.rkey = key.rkey;
   op.remote_offset = remote_offset;
   const uint8_t* src = mr->data() + local_offset;
-  SocketFabric* responder = PeerFabric();
-  if (responder != nullptr && responder->driver() == fab_->driver() &&
-      !responder->HasRemoteWriteNotifier(key.rkey) &&
+  SocketFabric* peer_fab = PeerFabric();
+  if (peer_fab != nullptr && peer_fab->driver() == fab_->driver() &&
+      !peer_fab->HasRemoteWriteNotifier(key.rkey) &&
       !MustFollowFramedOp(/*write=*/true, key.rkey, remote_offset, len)) {
     // Direct WRITE: the peer is in this process and served by this loop,
     // so the loop runs the responder itself; no frame, no worker, no
     // syscall. A region with a notifier is a polled ring, whose writes
     // stay framed (DESIGN.md §13).
-    ParkDirect(std::move(op), responder->ApplyWrite(key.rkey, key.epoch,
-                                                    remote_offset, src, len));
+    ParkDirect(std::move(op),
+               peer_fab->Respond(key.rkey, [&](rdma::MemoryRegion& target) {
+                 return rdma::responder::Write(target, key.epoch,
+                                               remote_offset, src, len);
+               }));
     return Status::OK();
   }
   FrameHeader h;
@@ -236,15 +250,17 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   op.local_offset = local_offset;
   op.rkey = key.rkey;
   op.remote_offset = remote_offset;
-  SocketFabric* responder = PeerFabric();
-  if (responder != nullptr &&
+  SocketFabric* peer_fab = PeerFabric();
+  if (peer_fab != nullptr &&
       !MustFollowFramedOp(/*write=*/false, key.rkey, remote_offset, len)) {
     // Direct READ: the peer is in this process, so the loop runs the
     // responder itself and copies straight into the landing region; no
     // frame, no worker, no syscall.
     ParkDirect(std::move(op),
-               responder->SnapshotRead(key.rkey, remote_offset, len,
-                                       mr->data() + local_offset));
+               peer_fab->Respond(key.rkey, [&](rdma::MemoryRegion& target) {
+                 return rdma::responder::Read(target, remote_offset, len,
+                                              mr->data() + local_offset);
+               }));
     return Status::OK();
   }
   FrameHeader h;
@@ -277,48 +293,22 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
                                   const rdma::ChainHop* hops,
                                   uint32_t num_hops) {
   REDY_RETURN_IF_ERROR(CheckSendable());
-  if (num_hops == 0 || num_hops > rdma::kMaxChainHops) {
-    return Status::InvalidArgument("bad chain length");
-  }
+  REDY_RETURN_IF_ERROR(rdma::responder::ValidateChain(*mr, hops, num_hops));
+  // One request frame carries all descriptors, then the write hops'
+  // payloads (snapshotted at post time); the worker runs the chain
+  // (ExecuteChain) and answers with one kChainResp.
   uint64_t total_read = 0;
-  std::vector<ChainHopWire> desc(num_hops);
-  std::vector<uint8_t> wpay;
+  std::vector<uint8_t> body(num_hops * sizeof(ChainHopWire));
   for (uint32_t i = 0; i < num_hops; i++) {
-    const rdma::ChainHop& h = hops[i];
-    if (!mr->InBounds(h.local_offset, h.len)) {
-      return Status::OutOfRange("chain hop local range outside region");
-    }
-    if (h.addr_from_prev &&
-        (i == 0 || hops[i - 1].is_write || hops[i - 1].len < 8)) {
-      return Status::InvalidArgument(
-          "dependent hop needs a preceding >=8 B read hop");
-    }
-    ChainHopWire& w = desc[i];
-    w.rkey = h.key.rkey;
-    w.epoch = h.key.epoch;
-    w.remote_offset = h.remote_offset;
-    w.local_offset = h.local_offset;
-    w.len = h.len;
-    w.addr_mask = h.addr_mask;
-    w.addr_shift = h.addr_shift;
-    if (h.addr_from_prev) w.flags |= ChainHopWire::kAddrFromPrev;
-    if (h.is_write) {
-      // Write-hop payloads snapshot at post time, like every other post.
-      w.flags |= ChainHopWire::kIsWrite;
-      wpay.insert(wpay.end(), mr->data() + h.local_offset,
-                  mr->data() + h.local_offset + h.len);
+    const rdma::ChainHop& hop = hops[i];
+    const ChainHopWire w = ToWire(hop);
+    std::memcpy(body.data() + i * sizeof(w), &w, sizeof(w));
+    if (hop.is_write) {
+      body.insert(body.end(), mr->data() + hop.local_offset,
+                  mr->data() + hop.local_offset + hop.len);
     } else {
-      total_read += h.len;
+      total_read += hop.len;
     }
-  }
-  // One request frame carries all descriptors + write payloads; the
-  // responder executes the chain worker-side (ExecuteChain) and answers
-  // with one kChainResp, so the wire sees one request/one response.
-  std::vector<uint8_t> body(num_hops * sizeof(ChainHopWire) + wpay.size());
-  std::memcpy(body.data(), desc.data(), num_hops * sizeof(ChainHopWire));
-  if (!wpay.empty()) {
-    std::memcpy(body.data() + num_hops * sizeof(ChainHopWire), wpay.data(),
-                wpay.size());
   }
   FrameHeader h;
   h.type = static_cast<uint8_t>(FrameType::kChain);
@@ -327,7 +317,7 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
   nic()->CountChainPosted();
   PendingOp op(wr_id, rdma::Opcode::kChain, total_read);
   if (total_read != 0) op.landing_key = mr->remote_key().rkey;
-  op.chain_hops = std::move(desc);
+  op.chain_hops.assign(hops, hops + num_hops);
   Issue(std::move(op), EncodeFrame(h, body.data(), body.size()));
   return Status::OK();
 }
@@ -344,23 +334,17 @@ void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
   if (status == StatusCode::kOk && op.landing_key != 0) {
     // Land only in a region that is still registered: deregistration
     // frees the storage at once.
-    const Result<rdma::MemoryRegion*> dst = nic()->Resolve(
-        rdma::RemoteKey{op.landing_key, 0}, /*check_epoch=*/false);
-    if (!dst.ok()) {
+    rdma::MemoryRegion* dst = nic()->Resolve(op.landing_key);
+    if (dst == nullptr) {
       status = StatusCode::kProtectionError;
     } else if (payload.size() != op.len) {
       status = StatusCode::kAborted;
     } else if (op.opcode == rdma::Opcode::kRead) {
-      std::memcpy((*dst)->data() + op.local_offset, payload.data(), op.len);
+      std::memcpy(dst->data() + op.local_offset, payload.data(), op.len);
     } else {
-      // Scatter the concatenated read payloads to each read hop's local
-      // landing offset, in hop order.
-      const uint8_t* from = payload.data();
-      for (const ChainHopWire& w : op.chain_hops) {
-        if (w.flags & ChainHopWire::kIsWrite) continue;
-        std::memcpy((*dst)->data() + w.local_offset, from, w.len);
-        from += w.len;
-      }
+      rdma::responder::ScatterChainReads(
+          op.chain_hops.data(), static_cast<uint32_t>(op.chain_hops.size()),
+          payload.data(), *dst);
     }
   }
   if (op.opcode == rdma::Opcode::kChain) {
@@ -662,10 +646,11 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
       return;
     }
     case FrameType::kWrite: {
-      // The one-sided responder path: fence + deposit right here on the
-      // worker. The application loop only runs the region's notifier.
-      const uint8_t status = ApplyWrite(hdr.rkey, hdr.epoch, hdr.offset,
-                                        payload.data(), payload.size());
+      // Applied here on the worker; the loop only runs the notifier.
+      const uint8_t status = Respond(hdr.rkey, [&](rdma::MemoryRegion& mr) {
+        return rdma::responder::Write(mr, hdr.epoch, hdr.offset,
+                                      payload.data(), payload.size());
+      });
       if (status == Code(StatusCode::kOk)) {
         driver_->Post(
             [this, rkey = hdr.rkey] { NotifyRemoteWriteOnLoop(rkey); });
@@ -687,8 +672,10 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
       std::vector<uint8_t> frame(sizeof(FrameHeader));
       if (hdr.aux <= UINT32_MAX) {
         frame.resize(sizeof(FrameHeader) + hdr.aux);
-        resp.status = SnapshotRead(hdr.rkey, hdr.offset, hdr.aux,
-                                   frame.data() + sizeof(FrameHeader));
+        resp.status = Respond(hdr.rkey, [&](rdma::MemoryRegion& mr) {
+          return rdma::responder::Read(mr, hdr.offset, hdr.aux,
+                                       frame.data() + sizeof(FrameHeader));
+        });
         if (resp.status != Code(StatusCode::kOk)) {
           frame.resize(sizeof(FrameHeader));
         }
@@ -745,105 +732,55 @@ void SocketFabric::OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token) {
   });
 }
 
-uint8_t SocketFabric::ApplyWrite(uint32_t rkey, uint32_t epoch,
-                                 uint64_t offset, const uint8_t* src,
-                                 uint64_t len) {
+template <typename Fn>
+uint8_t SocketFabric::Respond(uint32_t rkey, Fn&& fn) {
   const std::shared_ptr<SharedMr> smr = LookupSharedMr(rkey);
   if (smr == nullptr) return Code(StatusCode::kProtectionError);
   std::lock_guard<std::mutex> lk(smr->apply_mu);
   rdma::MemoryRegion* mr = smr->mr;
   if (mr == nullptr) return Code(StatusCode::kProtectionError);
-  if (epoch != mr->epoch()) {
-    // Stale access epoch: the fence. Count it on the loop (telemetry
-    // counters hang off loop-built NIC state).
+  const StatusCode status = fn(*mr);
+  if (status == StatusCode::kProtectionError) {
+    // Fenced. Count it on the loop (telemetry counters hang off
+    // loop-built NIC state).
     driver_->Post([nic = mr->nic()] { nic->CountProtectionError(); });
-    return Code(StatusCode::kProtectionError);
   }
-  if (!mr->InBounds(offset, len)) return Code(StatusCode::kAborted);
-  uint8_t* dst = mr->data() + offset;
-  if (offset % 8 == 0 && len >= 8 &&
-      reinterpret_cast<uintptr_t>(dst) % 8 == 0) {
-    // Publish protocol: body first, then the first 8 bytes (the
-    // BatchHeader sequence word) with release ordering, so a poller's
-    // acquire load of the seq observes a fully-deposited slot — the
-    // socket analogue of "the RDMA write's last cache line carries the
-    // header" the simulated fabric provides for free.
-    std::memcpy(dst + 8, src + 8, len - 8);
-    uint64_t first;
-    std::memcpy(&first, src, sizeof(first));
-    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(dst))
-        .store(first, std::memory_order_release);
-  } else if (len != 0) {
-    // Same publish shape at byte granularity (atomic_thread_fence is
-    // unsupported under TSan): body after the first byte, then the
-    // first byte with a release store.
-    std::memcpy(dst + 1, src + 1, len - 1);
-    std::atomic_ref<uint8_t>(*dst).store(src[0], std::memory_order_release);
-  }
-  return Code(StatusCode::kOk);
-}
-
-uint8_t SocketFabric::SnapshotRead(uint32_t rkey, uint64_t offset,
-                                   uint64_t len, uint8_t* dst) {
-  const std::shared_ptr<SharedMr> smr = LookupSharedMr(rkey);
-  if (smr == nullptr) return Code(StatusCode::kProtectionError);
-  std::lock_guard<std::mutex> lk(smr->apply_mu);
-  rdma::MemoryRegion* mr = smr->mr;
-  // READs are deliberately not epoch-checked (revoked regions stay
-  // readable until deregistration) — same contract as Nic::Resolve with
-  // check_epoch=false.
-  if (mr == nullptr) return Code(StatusCode::kProtectionError);
-  if (!mr->InBounds(offset, len)) return Code(StatusCode::kAborted);
-  if (len != 0) std::memcpy(dst, mr->data() + offset, len);
-  return Code(StatusCode::kOk);
+  return Code(status);
 }
 
 uint8_t SocketFabric::ExecuteChain(const FrameHeader& hdr,
                                    const std::vector<uint8_t>& payload,
                                    std::vector<uint8_t>* out,
                                    uint64_t* hops_done) {
+  // Frame boundary: `aux` descriptors, then at least the write hops'
+  // payload bytes.
   const uint64_t num_hops = hdr.aux;
   if (num_hops == 0 || num_hops > rdma::kMaxChainHops ||
       payload.size() < num_hops * sizeof(ChainHopWire)) {
     return Code(StatusCode::kInvalidArgument);
   }
-  const auto* hops = reinterpret_cast<const ChainHopWire*>(payload.data());
-  const uint8_t* wpay = payload.data() + num_hops * sizeof(ChainHopWire);
-  const uint8_t* wpay_end = payload.data() + payload.size();
+  rdma::ChainHop hops[rdma::kMaxChainHops];
+  uint64_t wbytes = payload.size() - num_hops * sizeof(ChainHopWire);
+  for (uint64_t i = 0; i < num_hops; i++) {
+    ChainHopWire w;
+    std::memcpy(&w, payload.data() + i * sizeof(w), sizeof(w));
+    hops[i] = FromWire(w);
+    if (!hops[i].is_write) continue;
+    if (hops[i].len > wbytes) return Code(StatusCode::kInvalidArgument);
+    wbytes -= hops[i].len;
+  }
+  const uint8_t* wsrc = payload.data() + num_hops * sizeof(ChainHopWire);
   uint64_t prev_word = 0;
   for (uint64_t i = 0; i < num_hops; i++) {
-    const ChainHopWire& h = hops[i];
-    const std::shared_ptr<SharedMr> smr = LookupSharedMr(h.rkey);
-    if (smr == nullptr) return Code(StatusCode::kProtectionError);
-    std::lock_guard<std::mutex> lk(smr->apply_mu);
-    rdma::MemoryRegion* mr = smr->mr;
-    if (mr == nullptr) return Code(StatusCode::kProtectionError);
-    if (h.epoch != mr->epoch()) {
-      // Chains fence EVERY hop, reads included — same contract as the
-      // simulated NIC's per-hop Resolve(check_epoch=true): a dependent
-      // chase must not follow a pointer past an epoch bump. Aborting
-      // here means zero bytes move for this and all later hops.
-      driver_->Post([nic = mr->nic()] { nic->CountProtectionError(); });
-      return Code(StatusCode::kProtectionError);
-    }
-    uint64_t ro = h.remote_offset;
-    if (h.flags & ChainHopWire::kAddrFromPrev) {
-      ro += (prev_word & h.addr_mask) >> h.addr_shift;
-    }
-    if (!mr->InBounds(ro, h.len)) return Code(StatusCode::kAborted);
-    if (h.flags & ChainHopWire::kIsWrite) {
-      if (wpay + h.len > wpay_end) return Code(StatusCode::kInvalidArgument);
-      // Plain deposit under the apply mutex: chain write hops target
-      // data regions, not the polled response rings, so the seq-word
-      // publish protocol of ApplyWrite is not needed here.
-      std::memcpy(mr->data() + ro, wpay, h.len);
-      wpay += h.len;
-      driver_->Post([this, rkey = h.rkey] { NotifyRemoteWriteOnLoop(rkey); });
-    } else {
-      out->insert(out->end(), mr->data() + ro, mr->data() + ro + h.len);
-      uint64_t w = 0;
-      std::memcpy(&w, mr->data() + ro, h.len < 8 ? h.len : 8);
-      prev_word = w;
+    const rdma::ChainHop& h = hops[i];
+    const uint8_t status = Respond(h.key.rkey, [&](rdma::MemoryRegion& mr) {
+      return rdma::responder::ChainHop(mr, h, &prev_word, wsrc, out);
+    });
+    if (status != Code(StatusCode::kOk)) return status;
+    if (h.is_write) {
+      wsrc += h.len;
+      driver_->Post(
+          [this, rkey = h.key.rkey] { NotifyRemoteWriteOnLoop(rkey); });
     }
     (*hops_done)++;
   }

@@ -34,10 +34,10 @@ class SocketNic;
 /// has completed, which keeps the RC QP's in-order completion guarantee.
 ///
 /// A READ or WRITE to a peer in this process sends no frame: the loop
-/// runs the responder itself (SocketFabric::SnapshotRead or ApplyWrite
-/// on the peer's fabric), copying straight between the two regions, and
-/// posts the ack to its own driver mailbox, so the completion still
-/// arrives in post order on a later loop pass. RC ordering says ops on
+/// runs the responder itself (SocketFabric::Respond on the peer's
+/// fabric), copying straight between the two regions, and posts the ack
+/// to its own driver mailbox, so the completion still arrives in post
+/// order on a later loop pass. RC ordering says ops on
 /// one QP take effect in post order, so an op takes the framed path
 /// instead while an earlier framed op it could observe or overwrite is
 /// unacked: for a READ, an overlapping WRITE to the same rkey or a chain
@@ -104,10 +104,10 @@ class SocketQueuePair : public rdma::QueuePair {
     /// might observe or overwrite this one.
     uint32_t rkey = 0;
     uint64_t remote_offset = 0;
-    /// kChain only: the posted hop descriptors, kept so the single
-    /// response's concatenated read payloads scatter back to each
-    /// hop's local landing offset.
-    std::vector<ChainHopWire> chain_hops;
+    /// kChain only: the posted hops, kept so the single response's
+    /// concatenated read payloads scatter back to each read hop's local
+    /// landing offset.
+    std::vector<rdma::ChainHop> chain_hops;
     /// Set when the responder ran on the loop at post time, so the op's
     /// bytes have already moved and no later op orders behind it.
     bool direct = false;
@@ -265,23 +265,14 @@ class SocketFabric : public rdma::Fabric {
   void OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
                const FrameHeader& hdr, std::vector<uint8_t> payload);
   void OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token);
-  /// The WRITE responder, for the worker's framed WRITE and the loop's
-  /// direct WRITE alike: resolves `rkey`, checks it is still registered,
-  /// that `epoch` is current (the fence) and that the range is in
-  /// bounds, and deposits `len` bytes from `src` with the publish
-  /// protocol, all under the region's apply mutex. Nothing lands unless
-  /// it returns kOk. It does not run the region's remote-write notifier.
-  uint8_t ApplyWrite(uint32_t rkey, uint32_t epoch, uint64_t offset,
-                     const uint8_t* src, uint64_t len);
-  /// The READ responder, for the worker's framed reply and the loop's
-  /// direct READ alike: resolves `rkey`, checks it is still registered
-  /// and the range is in bounds (no epoch check), and copies `len` bytes
-  /// to `dst`, all under the region's apply mutex. Nothing is written to
-  /// `dst` unless it returns kOk.
-  uint8_t SnapshotRead(uint32_t rkey, uint64_t offset, uint64_t len,
-                       uint8_t* dst);
-  /// Worker-side chain responder: executes every hop in order with the
-  /// per-hop fence, appending read payloads to `out`; `hops_done`
+  /// The responder, for framed and direct ops alike: runs `fn`, one
+  /// rdma/responder.h call, on the region under `rkey` with its apply
+  /// mutex held. A region that is gone answers kProtectionError; a
+  /// fenced answer is counted on the loop. No notifier runs.
+  template <typename Fn>
+  uint8_t Respond(uint32_t rkey, Fn&& fn);
+  /// Worker-side chain responder: decodes the kChain frame, then runs
+  /// its hops in order, appending read payloads to `out`; `hops_done`
   /// reports how many hops ran before success/abort.
   uint8_t ExecuteChain(const FrameHeader& hdr,
                        const std::vector<uint8_t>& payload,

@@ -201,9 +201,7 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
   EXPECT_EQ(accepted + rejected, kFlood);
   EXPECT_GT(rejected, 0u) << "the flood must hit the ring limit";
   EXPECT_LT(accepted, kFlood);
-  // The ring rounds its capacity up internally, so admissions stop at
-  // or past the requested capacity.
-  EXPECT_GE(accepted, CacheClient::kBatchRingCapacity);
+  EXPECT_EQ(accepted, CacheClient::kBatchRingCapacity);
   ASSERT_TRUE(RunUntil(tb, [&] { return completed == accepted; }));
   EXPECT_EQ(tb.client().stats(*id_or)->errors, 0u);
 }

@@ -7,6 +7,7 @@
 #include "net/topology.h"
 #include "rdma/nic.h"
 #include "rdma/queue_pair.h"
+#include "rdma/responder.h"
 #include "redy/cache_server.h"
 #include "sim/simulation.h"
 
@@ -357,6 +358,140 @@ TEST_F(RdmaTest, PipeliningImprovesThroughput) {
   ASSERT_EQ(wcs.size(), 8u);
   const sim::SimTime batch_time = wcs.back().completed_at - start;
   EXPECT_LT(batch_time, 3 * one_rtt);
+}
+
+// The responder core on a bare region: no NIC, no fabric, no timing.
+
+TEST(ResponderTest, StaleEpochWriteDepositsNothing) {
+  MemoryRegion mr(nullptr, 64, 1, 1);
+  std::memset(mr.data(), 0xAB, 64);
+  const uint32_t stale = mr.epoch();
+  mr.RevokeEpoch();
+  std::vector<uint8_t> src(64, 0x5A);
+  EXPECT_EQ(rdma::responder::Write(mr, stale, 0, src.data(), 64),
+            StatusCode::kProtectionError);
+  for (int i = 0; i < 64; i++) {
+    ASSERT_EQ(mr.data()[i], 0xAB) << "fenced write landed at byte " << i;
+  }
+  EXPECT_EQ(rdma::responder::Write(mr, mr.epoch(), 0, src.data(), 64),
+            StatusCode::kOk);
+  EXPECT_EQ(mr.data()[0], 0x5A);
+  EXPECT_EQ(mr.data()[63], 0x5A);
+}
+
+TEST(ResponderTest, ReadSucceedsAfterRevokeEpoch) {
+  MemoryRegion mr(nullptr, 64, 1, 1);
+  const char msg[] = "still readable";
+  std::memcpy(mr.data() + 8, msg, sizeof(msg));
+  mr.RevokeEpoch();
+  char dst[sizeof(msg)] = {};
+  EXPECT_EQ(rdma::responder::Read(mr, 8, sizeof(msg),
+                                  reinterpret_cast<uint8_t*>(dst)),
+            StatusCode::kOk);
+  EXPECT_EQ(std::memcmp(dst, msg, sizeof(msg)), 0);
+}
+
+TEST(ResponderTest, OutOfRangeOrOverflowingRangeMovesNoBytes) {
+  MemoryRegion mr(nullptr, 64, 1, 1);
+  std::memset(mr.data(), 0xAB, 64);
+  std::vector<uint8_t> buf(16, 0x5A);
+  // Past the end, and an offset whose offset + len wraps around.
+  for (const uint64_t offset : {uint64_t{60}, ~uint64_t{0} - 3}) {
+    EXPECT_EQ(rdma::responder::Write(mr, mr.epoch(), offset, buf.data(), 8),
+              StatusCode::kAborted);
+    EXPECT_EQ(rdma::responder::Read(mr, offset, 8, buf.data()),
+              StatusCode::kAborted);
+    rdma::ChainHop hop;
+    hop.key = mr.remote_key();
+    hop.remote_offset = offset;
+    hop.len = 8;
+    uint64_t prev_word = 0;
+    std::vector<uint8_t> out;
+    EXPECT_EQ(rdma::responder::ChainHop(mr, hop, &prev_word, nullptr, &out),
+              StatusCode::kAborted);
+    EXPECT_TRUE(out.empty());
+  }
+  for (int i = 0; i < 64; i++) ASSERT_EQ(mr.data()[i], 0xAB) << i;
+  for (const uint8_t b : buf) ASSERT_EQ(b, 0x5A);
+}
+
+TEST(ResponderTest, ChainHopChasesMaskedShiftedPointerAndFencesReadHops) {
+  MemoryRegion mr(nullptr, 256, 1, 1);
+  // A tagged pointer: the high bits are a tag the mask drops, and the
+  // low bits hold the target offset shifted left by 4.
+  const uint64_t word = 0xABCD000000000000ull | (uint64_t{64} << 4);
+  std::memcpy(mr.data(), &word, sizeof(word));
+  const char msg[] = "pointee";
+  std::memcpy(mr.data() + 8 + 64, msg, sizeof(msg));
+
+  rdma::ChainHop ptr;
+  ptr.key = mr.remote_key();
+  ptr.len = 8;
+  rdma::ChainHop data;
+  data.key = mr.remote_key();
+  data.remote_offset = 8;
+  data.local_offset = 8;
+  data.len = sizeof(msg);
+  data.addr_mask = 0xFFFF;
+  data.addr_shift = 4;
+  data.addr_from_prev = true;
+  uint64_t prev_word = 0;
+  std::vector<uint8_t> out;
+  ASSERT_EQ(rdma::responder::ChainHop(mr, ptr, &prev_word, nullptr, &out),
+            StatusCode::kOk);
+  EXPECT_EQ(prev_word, word);
+  ASSERT_EQ(rdma::responder::ChainHop(mr, data, &prev_word, nullptr, &out),
+            StatusCode::kOk);
+  ASSERT_EQ(out.size(), 8 + sizeof(msg));
+  EXPECT_EQ(std::memcmp(out.data() + 8, msg, sizeof(msg)), 0);
+
+  // The completion side lands each read hop at its local offset.
+  MemoryRegion local(nullptr, 64, 2, 2);
+  const rdma::ChainHop hops[] = {ptr, data};
+  rdma::responder::ScatterChainReads(hops, 2, out.data(), local);
+  EXPECT_EQ(std::memcmp(local.data(), &word, sizeof(word)), 0);
+  EXPECT_EQ(std::memcmp(local.data() + 8, msg, sizeof(msg)), 0);
+
+  // Unlike a plain READ, a read hop under a stale key is fenced.
+  mr.RevokeEpoch();
+  prev_word = 7;
+  out.clear();
+  EXPECT_EQ(rdma::responder::ChainHop(mr, ptr, &prev_word, nullptr, &out),
+            StatusCode::kProtectionError);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(prev_word, 7u);
+}
+
+TEST(ResponderTest, ValidateChainRejectsMalformedShapes) {
+  MemoryRegion local(nullptr, 64, 1, 1);
+  rdma::ChainHop hops[rdma::kMaxChainHops + 1];
+  for (rdma::ChainHop& h : hops) h.len = 8;
+  EXPECT_TRUE(rdma::responder::ValidateChain(local, hops, 2).ok());
+
+  // Bad length.
+  EXPECT_TRUE(
+      rdma::responder::ValidateChain(local, hops, 0).IsInvalidArgument());
+  EXPECT_TRUE(rdma::responder::ValidateChain(local, hops,
+                                             rdma::kMaxChainHops + 1)
+                  .IsInvalidArgument());
+  // A local range out of bounds.
+  hops[1].local_offset = 60;
+  EXPECT_TRUE(rdma::responder::ValidateChain(local, hops, 2).IsOutOfRange());
+  hops[1].local_offset = 0;
+  // A dependent hop first, after a write hop, or after a < 8 B read.
+  hops[0].addr_from_prev = true;
+  EXPECT_TRUE(
+      rdma::responder::ValidateChain(local, hops, 2).IsInvalidArgument());
+  hops[0].addr_from_prev = false;
+  hops[1].addr_from_prev = true;
+  EXPECT_TRUE(rdma::responder::ValidateChain(local, hops, 2).ok());
+  hops[0].is_write = true;
+  EXPECT_TRUE(
+      rdma::responder::ValidateChain(local, hops, 2).IsInvalidArgument());
+  hops[0].is_write = false;
+  hops[0].len = 4;
+  EXPECT_TRUE(
+      rdma::responder::ValidateChain(local, hops, 2).IsInvalidArgument());
 }
 
 }  // namespace

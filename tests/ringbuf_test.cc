@@ -38,6 +38,21 @@ TEST(SpscRingTest, FullRejectsPush) {
   EXPECT_TRUE(ring.TryPush(1));
 }
 
+TEST(SpscRingTest, AdmitsExactlyTheRequestedCapacity) {
+  // Against literals, not Capacity(): a ring that silently rounded its
+  // size up would agree with its own Capacity().
+  for (const size_t capacity : {size_t{4}, size_t{5}, size_t{16384}}) {
+    ringbuf::SpscRing<int> ring(capacity);
+    size_t pushed = 0;
+    while (ring.TryPush(1)) pushed++;
+    EXPECT_EQ(pushed, capacity);
+    EXPECT_EQ(ring.Size(), capacity);
+    ring.TryPop();
+    EXPECT_TRUE(ring.TryPush(1));
+    EXPECT_FALSE(ring.TryPush(1));
+  }
+}
+
 TEST(SpscRingTest, FrontPeeksWithoutConsuming) {
   ringbuf::SpscRing<int> ring(4);
   EXPECT_EQ(ring.Front(), nullptr);
