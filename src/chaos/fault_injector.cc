@@ -13,10 +13,6 @@ FaultInjector::FaultInjector(sim::Simulation* sim, rdma::Fabric* fabric,
 
 void FaultInjector::Install() { fabric_->set_fault_hooks(this); }
 
-void FaultInjector::Uninstall() {
-  if (fabric_->fault_hooks() == this) fabric_->set_fault_hooks(nullptr);
-}
-
 net::ServerId FaultInjector::PickServer() {
   REDY_CHECK(!opts_.servers.empty());
   return opts_.servers[rng_.Uniform(opts_.servers.size())];

@@ -65,8 +65,6 @@ class FaultInjector : public rdma::FaultHooks {
 
   /// Installs this injector as the fabric's fault hooks.
   void Install();
-  /// Removes the hooks; the fabric reverts to fault-free behavior.
-  void Uninstall();
 
   /// Generates the pseudo-random fault schedule from the seed and
   /// installs the hooks. Idempotent windows: calling twice doubles them.

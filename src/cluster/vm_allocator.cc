@@ -117,24 +117,12 @@ void VmAllocator::Free(VmId id) {
   if (!waiters_.empty()) {
     auto fired = std::move(waiters_);
     waiters_.clear();
-    for (auto& [wid, cb] : fired) sim_->After(0, std::move(cb));
+    for (auto& cb : fired) sim_->After(0, std::move(cb));
   }
 }
 
-uint64_t VmAllocator::WaitForCapacity(std::function<void()> cb) {
-  const uint64_t id = next_waiter_id_++;
-  waiters_.emplace_back(id, std::move(cb));
-  return id;
-}
-
-bool VmAllocator::CancelWaitForCapacity(uint64_t id) {
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    if (it->first == id) {
-      waiters_.erase(it);
-      return true;
-    }
-  }
-  return false;
+void VmAllocator::WaitForCapacity(std::function<void()> cb) {
+  waiters_.push_back(std::move(cb));
 }
 
 Status VmAllocator::Reclaim(VmId id) {

@@ -94,10 +94,8 @@ class VmAllocator {
   /// Registers a one-shot callback fired (via the event queue, in
   /// registration order) the next time any VM frees capacity. Recovery
   /// paths park here instead of polling when allocation fails with
-  /// ResourceExhausted. Returns an id usable with
-  /// CancelWaitForCapacity.
-  uint64_t WaitForCapacity(std::function<void()> cb);
-  bool CancelWaitForCapacity(uint64_t id);
+  /// ResourceExhausted.
+  void WaitForCapacity(std::function<void()> cb);
 
   /// Registers the handler invoked when a spot VM gets a reclamation
   /// notice (at most one handler; the Redy cache manager).
@@ -142,8 +140,7 @@ class VmAllocator {
   size_t spread_cursor_ = 0;
   ReclaimHandler reclaim_handler_;
   /// One-shot capacity waiters, fired in registration order on Free.
-  std::vector<std::pair<uint64_t, std::function<void()>>> waiters_;
-  uint64_t next_waiter_id_ = 1;
+  std::vector<std::function<void()>> waiters_;
 };
 
 }  // namespace redy::cluster

@@ -19,8 +19,8 @@ class Nic;
 /// so correctness (not just timing) is exercised end to end.
 class MemoryRegion {
  public:
-  MemoryRegion(Nic* nic, uint64_t size, uint32_t lkey, uint32_t rkey)
-      : nic_(nic), lkey_(lkey), rkey_(rkey), data_(size, 0) {}
+  MemoryRegion(Nic* nic, uint64_t size, uint32_t rkey)
+      : nic_(nic), rkey_(rkey), data_(size, 0) {}
 
   MemoryRegion(const MemoryRegion&) = delete;
   MemoryRegion& operator=(const MemoryRegion&) = delete;
@@ -29,7 +29,6 @@ class MemoryRegion {
   const uint8_t* data() const { return data_.data(); }
   uint64_t size() const { return data_.size(); }
 
-  uint32_t lkey() const { return lkey_; }
   RemoteKey remote_key() const { return RemoteKey{rkey_, epoch()}; }
   Nic* nic() const { return nic_; }
 
@@ -54,7 +53,7 @@ class MemoryRegion {
   }
 
   /// Observer invoked (at the landing event's simulated time) after a
-  /// remote RDMA write/send deposits bytes into this region — the
+  /// remote RDMA write deposits bytes into this region — the
   /// simulator's stand-in for the cache-line snoop a busy-polling
   /// thread would observe. Work sources use it to Wake() parked
   /// pollers (DESIGN.md §9); it must not change simulated state.
@@ -70,7 +69,6 @@ class MemoryRegion {
 
  private:
   Nic* nic_;
-  uint32_t lkey_;
   uint32_t rkey_;
   std::atomic<uint32_t> epoch_{0};
   std::atomic<bool> valid_{true};

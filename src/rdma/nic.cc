@@ -19,7 +19,7 @@ const net::FabricParams& Nic::params() const { return fabric_->params(); }
 
 MemoryRegion* Nic::RegisterMemory(uint64_t bytes) {
   const uint32_t key = next_key_++;
-  auto mr = std::make_unique<MemoryRegion>(this, bytes, key, key);
+  auto mr = std::make_unique<MemoryRegion>(this, bytes, key);
   MemoryRegion* out = mr.get();
   regions_.emplace(key, std::move(mr));
   registered_bytes_ += bytes;

@@ -142,7 +142,6 @@ class Fabric {
   sim::Simulation* sim() const { return sim_; }
   const net::Topology& topology() const { return topology_; }
   const net::FabricParams& params() const { return params_; }
-  net::FabricParams& mutable_params() { return params_; }
 
   /// Installs (or clears, with nullptr) the fault-injection hooks the
   /// fabric consults on every transfer. Not owned.

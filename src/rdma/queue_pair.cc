@@ -347,25 +347,7 @@ Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
   outstanding_++;
   const uint64_t seq = next_post_seq_++;
 
-  // Write-hop payloads snapshot at post time (inlined into the WQE
-  // block or DMA-fetched by fetch_done, which precedes req_arrive), so
-  // the responder-side steps never touch client memory.
-  std::vector<uint8_t>* wpay = nullptr;
-  for (uint32_t i = 0; i < num_hops; i++) {
-    const ChainHop& h = hops[i];
-    if (!h.is_write) continue;
-    if (wpay == nullptr) {
-      wpay = AcquirePayload();
-      wpay->clear();
-    }
-    wpay->insert(wpay->end(), mr->data() + h.local_offset,
-                 mr->data() + h.local_offset + h.len);
-  }
-  const uint64_t write_bytes = wpay == nullptr ? 0 : wpay->size();
-
-  const net::FabricParams& p = nic_->params();
   sim::Simulation* sim = nic_->sim();
-  const bool inlined = write_bytes <= p.inline_threshold_bytes;
 
   FaultHooks* hooks = nic_->fabric()->fault_hooks();
   const net::ServerId src = nic_->server();
@@ -374,14 +356,11 @@ Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
   const uint64_t extra_ns =
       hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
 
-  // One doorbell posts the whole chain: the request carries every hop
-  // descriptor plus any write-hop payloads, then the responder NIC runs
-  // the links locally. Client-side there is exactly one pipeline pass.
+  // One doorbell posts the whole chain: the header-only request carries
+  // every hop descriptor, then the responder NIC runs the links locally.
+  // Client-side there is exactly one pipeline pass.
   const sim::SimTime issue = IssueSlot(sim->Now());
-  const sim::SimTime fetch_done =
-      issue + (write_bytes > 0 && !inlined ? p.pcie_fetch_ns : 0);
-  const sim::SimTime req_wire_end =
-      nic_->tx_link().Reserve(fetch_done, write_bytes);
+  const sim::SimTime req_wire_end = nic_->tx_link().Reserve(issue, 0);
   const sim::SimTime req_arrive =
       req_wire_end + nic_->fabric()->OneWayNs(src, dst) + extra_ns;
 
@@ -394,12 +373,12 @@ Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
     tr->Instant(tk, "doorbell", "wqe", sim->Now(), {"wr_id", wr_id});
     tr->AsyncBegin(tk, "chain", "wqe", span, issue, {"wr_id", wr_id},
                    {"hops", num_hops});
-    tr->AsyncBegin(tk, "req_wire", "wqe", span, fetch_done);
+    tr->AsyncBegin(tk, "req_wire", "wqe", span, issue);
     tr->AsyncEnd(tk, "req_wire", "wqe", span, req_wire_end);
   }
 
   ChainOp* op = chain_op_pool_.Acquire();
-  *op = ChainOp{wr_id, mr, {}, num_hops, 0, 0, span, doomed, nullptr, wpay, 0};
+  *op = ChainOp{wr_id, mr, {}, num_hops, 0, 0, span, doomed, nullptr};
   std::copy(hops, hops + num_hops, op->hops);
 
   auto arrive = [this, seq, op]() { ChainStep(seq, op); };
@@ -411,15 +390,13 @@ Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
 
 void QueuePair::ReleaseChainOp(ChainOp* op) {
   if (op->rpay != nullptr) ReleasePayload(op->rpay);
-  if (op->wpay != nullptr) ReleasePayload(op->wpay);
   chain_op_pool_.Release(op);
 }
 
 void QueuePair::ChainAbort(uint64_t seq, ChainOp* op, StatusCode code) {
   // A poisoned chain delivers exactly ONE error completion for the
-  // whole doorbell: the remaining hops never execute, no read payload
-  // lands locally (byte_len 0), and no later write hop touches remote
-  // memory — zero bytes move past the fence.
+  // whole doorbell: the remaining hops never execute and no payload
+  // lands locally (byte_len 0) — zero bytes move past the fence.
   nic_->CountChainAborted();
   sim::Simulation* sim = nic_->sim();
   if (op->span != 0) {
@@ -451,28 +428,20 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
   }
 
   const ChainHop& h = op->hops[op->hop];
-  if (!h.is_write && op->rpay == nullptr) {
+  if (op->rpay == nullptr) {
     op->rpay = AcquirePayload();
     op->rpay->clear();
   }
-  MemoryRegion* rmr = peer_->nic_->Resolve(h.key.rkey);
+  const MemoryRegion* rmr = peer_->nic_->Resolve(h.key.rkey);
   const StatusCode code =
-      rmr == nullptr
-          ? StatusCode::kProtectionError
-          : responder::ChainHop(
-                *rmr, h, &op->prev_word,
-                h.is_write ? op->wpay->data() + op->wpay_off : nullptr,
-                op->rpay);
+      rmr == nullptr ? StatusCode::kProtectionError
+                     : responder::ChainHop(*rmr, h, &op->prev_word, op->rpay);
   if (code != StatusCode::kOk) {
     if (code == StatusCode::kProtectionError) {
       peer_->nic_->CountProtectionError();
     }
     ChainAbort(seq, op, code);
     return;
-  }
-  if (h.is_write) {
-    op->wpay_off += h.len;
-    rmr->NotifyRemoteWrite();
   }
 
   nic_->CountChainHop();
@@ -500,7 +469,7 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
   }
 
   // Last hop: the responder finishes its fetch, then serializes ONE
-  // response carrying every read hop's payload back to the client.
+  // response carrying every hop's payload back to the client.
   const uint64_t one_way =
       nic_->fabric()->OneWayNs(nic_->server(), peer_->nic_->server());
   const uint64_t resp_extra =
@@ -509,7 +478,7 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
           : hooks->ExtraLatencyNs(peer_->nic_->server(), nic_->server());
   const sim::SimTime fetch_done = sim->Now() + p.pcie_fetch_ns;
   const sim::SimTime resp_wire_end =
-      peer_->nic_->tx_link().Reserve(fetch_done, op->total_read());
+      peer_->nic_->tx_link().Reserve(fetch_done, op->rpay->size());
   const sim::SimTime landed =
       resp_wire_end + one_way + p.nic_remote_dma_ns + resp_extra;
   if (op->span != 0) {
@@ -528,106 +497,16 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
 
 void QueuePair::ChainLand(uint64_t seq, ChainOp* op) {
   WorkCompletion wc{op->wr_id, Opcode::kChain, StatusCode::kOk,
-                    static_cast<uint32_t>(op->total_read()), 0};
+                    static_cast<uint32_t>(op->rpay->size()), 0};
   if (broken_) {
     wc.status = StatusCode::kUnavailable;
-  } else if (op->rpay != nullptr) {
+  } else {
     responder::ScatterChainReads(op->hops, op->num_hops, op->rpay->data(),
                                  *op->mr);
   }
   const sim::SimTime now = nic_->sim()->Now();
   ReleaseChainOp(op);
   Complete(seq, wc, now);
-}
-
-Status QueuePair::PostSend(uint64_t wr_id, const MemoryRegion* mr,
-                           uint64_t local_offset, uint64_t len) {
-  REDY_RETURN_IF_ERROR(CheckPostable());
-  if (!mr->InBounds(local_offset, len)) {
-    return Status::OutOfRange("send source out of bounds");
-  }
-  outstanding_++;
-  const uint64_t seq = next_post_seq_++;
-
-  const net::FabricParams& p = nic_->params();
-  sim::Simulation* sim = nic_->sim();
-  const bool inlined = len <= p.inline_threshold_bytes;
-
-  FaultHooks* hooks = nic_->fabric()->fault_hooks();
-  const net::ServerId src = nic_->server();
-  const net::ServerId dst = peer_->nic_->server();
-  const bool doomed = hooks != nullptr && hooks->WqeError(src, dst);
-  const uint64_t extra_ns =
-      hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
-
-  const sim::SimTime issue = IssueSlot(sim->Now());
-  const sim::SimTime fetch_done = issue + (inlined ? 0 : p.pcie_fetch_ns);
-  const sim::SimTime wire_end = nic_->tx_link().Reserve(fetch_done, len);
-  const sim::SimTime landed =
-      wire_end + nic_->fabric()->OneWayNs(src, dst) + p.nic_remote_dma_ns +
-      extra_ns;
-  nic_->CountWqePosted();
-  if (telemetry::SpanTracer* tr = ActiveTracer()) {
-    const uint32_t tk = TraceTrack(*tr);
-    const uint64_t span = tr->NextId();
-    tr->Instant(tk, "doorbell", "wqe", sim->Now(), {"wr_id", wr_id});
-    tr->AsyncBegin(tk, "send", "wqe", span, issue, {"wr_id", wr_id},
-                   {"len", len});
-    if (!inlined) {
-      tr->AsyncBegin(tk, "dma_fetch", "wqe", span, issue);
-      tr->AsyncEnd(tk, "dma_fetch", "wqe", span, fetch_done);
-    }
-    tr->AsyncBegin(tk, "wire", "wqe", span, fetch_done);
-    tr->AsyncEnd(tk, "wire", "wqe", span, wire_end);
-    tr->AsyncEnd(tk, "send", "wqe", span, landed);
-  }
-  std::vector<uint8_t>* payload = AcquirePayload();
-  payload->assign(mr->data() + local_offset, mr->data() + local_offset + len);
-
-  auto land = [this, seq, wr_id, len, payload, doomed]() {
-    WorkCompletion wc{wr_id, Opcode::kSend, StatusCode::kOk,
-                      static_cast<uint32_t>(len), 0};
-    sim::SimTime back = nic_->sim()->Now();
-    if (doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
-      wc.status = StatusCode::kUnavailable;
-    } else {
-      back +=
-          nic_->fabric()->OneWayNs(nic_->server(), peer_->nic_->server());
-      if (peer_->posted_recvs_.empty()) {
-        // Receiver-not-ready: a real RC QP would retry; the Redy
-        // protocol pre-posts receives, so treat it as an error.
-        wc.status = StatusCode::kFailedPrecondition;
-      } else {
-        PostedRecv rv = peer_->posted_recvs_.front();
-        peer_->posted_recvs_.pop_front();
-        if (rv.capacity < len) {
-          wc.status = StatusCode::kOutOfRange;
-        } else {
-          std::memcpy(rv.mr->data() + rv.offset, payload->data(), len);
-          rv.mr->NotifyRemoteWrite();
-          WorkCompletion rwc{rv.wr_id, Opcode::kRecv, StatusCode::kOk,
-                             static_cast<uint32_t>(len), nic_->sim()->Now()};
-          peer_->recv_cq_.Push(rwc);
-        }
-      }
-    }
-    ReleasePayload(payload);
-    Complete(seq, wc, back);
-  };
-  static_assert(sim::InlineFunction::fits_inline<decltype(land)>(),
-                "send-landing lambda must stay inline");
-  sim->At(landed, std::move(land));
-  return Status::OK();
-}
-
-Status QueuePair::PostRecv(uint64_t wr_id, MemoryRegion* mr, uint64_t offset,
-                           uint64_t capacity) {
-  if (broken_) return Status::Unavailable("QP broken");
-  if (!mr->InBounds(offset, capacity)) {
-    return Status::OutOfRange("recv buffer out of bounds");
-  }
-  posted_recvs_.push_back(PostedRecv{wr_id, mr, offset, capacity});
-  return Status::OK();
 }
 
 void QueuePair::Break() {

@@ -2,7 +2,6 @@
 #define REDY_RDMA_QUEUE_PAIR_H_
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -62,32 +61,21 @@ class QueuePair {
                            uint64_t local_offset, RemoteKey key,
                            uint64_t remote_offset, uint64_t len);
 
-  /// NIC-offloaded dependent op chain: posts `num_hops` linked work
+  /// NIC-offloaded read-only chain: posts `num_hops` linked READ work
   /// requests as ONE doorbell. The responder NIC executes the hops
   /// strictly in order (WAIT-on-CQ gating between links), resolving
-  /// `addr_from_prev` hops from the previous READ hop's landed payload
-  /// — a remote pointer chase with no client-side RTT per hop. Cost per
+  /// `addr_from_prev` hops from the previous hop's landed payload — a
+  /// remote pointer chase with no client-side RTT per hop. Cost per
   /// link is NIC-side (`FabricParams::nic_chain_step_ns` + PCIe fetch),
   /// and every hop is epoch-fenced: a mid-chain stale epoch, dropped
   /// region, or link fault aborts the remaining hops and delivers a
-  /// single poisoned completion with byte_len 0 — no read payload lands
-  /// locally and no write hop past the fault touches remote memory.
-  /// On success one completion is delivered whose byte_len is the total
-  /// read bytes, after every read hop's payload landed in `mr`.
+  /// single poisoned completion with byte_len 0, and no payload lands
+  /// locally. On success one completion is delivered whose byte_len is
+  /// the total bytes read, after every hop's payload landed in `mr`.
   virtual Status PostChain(uint64_t wr_id, MemoryRegion* mr,
                            const ChainHop* hops, uint32_t num_hops);
 
-  /// Two-sided send: delivers into the oldest posted receive buffer at
-  /// the peer; a completion appears on the peer's recv CQ.
-  virtual Status PostSend(uint64_t wr_id, const MemoryRegion* mr,
-                          uint64_t local_offset, uint64_t len);
-
-  /// Posts a receive buffer for incoming sends.
-  virtual Status PostRecv(uint64_t wr_id, MemoryRegion* mr, uint64_t offset,
-                          uint64_t capacity);
-
   CompletionQueue& send_cq() { return send_cq_; }
-  CompletionQueue& recv_cq() { return recv_cq_; }
 
   /// In-flight (posted, not yet completed) send-side operations.
   uint32_t outstanding() const { return outstanding_; }
@@ -109,13 +97,6 @@ class QueuePair {
 
  protected:
   friend class Nic;
-
-  struct PostedRecv {
-    uint64_t wr_id;
-    MemoryRegion* mr;
-    uint64_t offset;
-    uint64_t capacity;
-  };
 
   /// One slot of the in-order completion sequencer. The window of
   /// sequenced-but-undelivered ops is bounded by the queue depth (an op
@@ -143,24 +124,20 @@ class QueuePair {
     bool doomed;
   };
 
-  /// Pooled per-chain state. The whole descriptor block and both
-  /// payload staging buffers ride in one pooled record so every
-  /// responder-side stepping event captures only {this, seq, op*} and
-  /// the issue path stays allocation-free at steady state.
+  /// Pooled per-chain state. The whole descriptor block and the payload
+  /// staging buffer ride in one pooled record so every responder-side
+  /// stepping event captures only {this, seq, op*} and the issue path
+  /// stays allocation-free at steady state.
   struct ChainOp {
     uint64_t wr_id;
     MemoryRegion* mr;
     ChainHop hops[kMaxChainHops];
     uint32_t num_hops;
     uint32_t hop;                // responder cursor: next hop to execute
-    uint64_t prev_word;          // first 8 B of the last READ hop's payload
+    uint64_t prev_word;          // first 8 B of the last hop's payload
     uint64_t span;               // chain trace span (0 = tracing off)
     bool doomed;                 // fault-injected at post time
-    std::vector<uint8_t>* rpay;  // concatenated read payloads (pooled)
-    std::vector<uint8_t>* wpay;  // concatenated write payloads (pooled)
-    uint64_t wpay_off;           // consumed prefix of wpay
-
-    uint64_t total_read() const { return rpay == nullptr ? 0 : rpay->size(); }
+    std::vector<uint8_t>* rpay;  // concatenated payloads (pooled; set by hop 0)
   };
 
   /// Responder-side chain machinery (sim backend): executes one hop at
@@ -203,8 +180,6 @@ class QueuePair {
   common::SlabPool<ReadOp> read_op_pool_;
   common::SlabPool<ChainOp> chain_op_pool_;
   CompletionQueue send_cq_;
-  CompletionQueue recv_cq_;
-  std::deque<PostedRecv> posted_recvs_;
   uint64_t trace_id_ = 0;
   uint32_t trace_track_ = 0;
 };

@@ -8,16 +8,14 @@
 
 namespace redy::rdma {
 
-/// RDMA verb opcodes supported by the simulated fabric. Mirrors the
-/// subset of libibverbs/NDSPI Redy uses: one-sided READ/WRITE and
-/// two-sided SEND/RECV over reliable-connected queue pairs, plus
-/// NIC-offloaded dependent chains (kChain) in the spirit of
-/// triggered/cross-channel work requests ("RDMA is Turing complete").
+/// RDMA verb opcodes, exactly the ones Redy posts: one-sided READ and
+/// WRITE over reliable-connected queue pairs (its two-sided RPC is
+/// WRITEs into polled rings), plus NIC-offloaded read-only chains
+/// (kChain) in the spirit of triggered/cross-channel work requests
+/// ("RDMA is Turing complete").
 enum class Opcode : uint8_t {
   kRead,
   kWrite,
-  kSend,
-  kRecv,
   kChain,
 };
 
@@ -40,29 +38,26 @@ struct RemoteKey {
 /// path stays allocation-free.
 inline constexpr uint32_t kMaxChainHops = 8;
 
-/// One link of a NIC-executed dependent op chain (Opcode::kChain).
+/// One read hop of a NIC-executed dependent op chain (Opcode::kChain).
 ///
 /// Hops execute strictly in order on the *responder* NIC: hop N+1 is
-/// gated on hop N's NIC-internal completion (WAIT-on-CQ semantics), so
-/// a later hop always observes an earlier hop's effects. When
-/// `addr_from_prev` is set, the hop's remote address is computed from
-/// the previous READ hop's landed payload: the first 8 bytes are taken
+/// gated on hop N's NIC-internal completion (WAIT-on-CQ semantics).
+/// When `addr_from_prev` is set, the hop's remote address is computed
+/// from the previous hop's landed payload: the first 8 bytes are taken
 /// as a little-endian u64, then
 ///   remote = remote_offset + ((word & addr_mask) >> addr_shift)
 /// — i.e. a remote pointer chase resolved in one client doorbell.
 ///
-/// Every hop, reads included, is fenced (DESIGN.md §7).
+/// Every hop is fenced, unlike a plain READ (DESIGN.md §7).
 struct ChainHop {
   RemoteKey key;
   uint64_t remote_offset = 0;
-  /// For read hops: where the landed payload goes in the local MR.
-  /// For write hops: where the source payload starts in the local MR.
+  /// Where the landed payload goes in the local MR.
   uint64_t local_offset = 0;
   uint64_t len = 0;
   uint64_t addr_mask = ~0ull;
   uint8_t addr_shift = 0;
   bool addr_from_prev = false;
-  bool is_write = false;
 };
 
 /// A completion-queue entry.

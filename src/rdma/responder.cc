@@ -46,9 +46,8 @@ StatusCode Read(const MemoryRegion& mr, uint64_t offset, uint64_t len,
   return StatusCode::kOk;
 }
 
-StatusCode ChainHop(MemoryRegion& mr, const rdma::ChainHop& hop,
-                    uint64_t* prev_word, const uint8_t* wsrc,
-                    std::vector<uint8_t>* out) {
+StatusCode ChainHop(const MemoryRegion& mr, const rdma::ChainHop& hop,
+                    uint64_t* prev_word, std::vector<uint8_t>* out) {
   if (Fence(mr, hop.key.epoch) != StatusCode::kOk) {
     return StatusCode::kProtectionError;
   }
@@ -57,15 +56,11 @@ StatusCode ChainHop(MemoryRegion& mr, const rdma::ChainHop& hop,
     offset += (*prev_word & hop.addr_mask) >> hop.addr_shift;
   }
   if (!mr.InBounds(offset, hop.len)) return StatusCode::kAborted;
-  uint8_t* at = mr.data() + offset;
-  if (hop.is_write) {
-    Deposit(at, wsrc, hop.len);
-  } else {
-    out->insert(out->end(), at, at + hop.len);
-    uint64_t word = 0;
-    std::memcpy(&word, at, hop.len < 8 ? hop.len : 8);
-    *prev_word = word;
-  }
+  const uint8_t* at = mr.data() + offset;
+  out->insert(out->end(), at, at + hop.len);
+  uint64_t word = 0;
+  std::memcpy(&word, at, hop.len < 8 ? hop.len : 8);
+  *prev_word = word;
   return StatusCode::kOk;
 }
 
@@ -79,10 +74,9 @@ Status ValidateChain(const MemoryRegion& local, const rdma::ChainHop* hops,
     if (!local.InBounds(h.local_offset, h.len)) {
       return Status::OutOfRange("chain hop local range out of bounds");
     }
-    if (h.addr_from_prev &&
-        (i == 0 || hops[i - 1].is_write || hops[i - 1].len < 8)) {
+    if (h.addr_from_prev && (i == 0 || hops[i - 1].len < 8)) {
       return Status::InvalidArgument(
-          "dependent hop needs a preceding >=8 B read hop");
+          "dependent hop needs a preceding >=8 B hop");
     }
   }
   return Status::OK();
@@ -91,7 +85,6 @@ Status ValidateChain(const MemoryRegion& local, const rdma::ChainHop* hops,
 void ScatterChainReads(const rdma::ChainHop* hops, uint32_t num_hops,
                        const uint8_t* payload, MemoryRegion& local) {
   for (uint32_t i = 0; i < num_hops; i++) {
-    if (hops[i].is_write) continue;
     std::memcpy(local.data() + hops[i].local_offset, payload, hops[i].len);
     payload += hops[i].len;
   }

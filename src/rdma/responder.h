@@ -28,21 +28,20 @@ StatusCode Read(const MemoryRegion& mr, uint64_t offset, uint64_t len,
                 uint8_t* dst);
 
 /// One chain hop: fence, then the chased address of an `addr_from_prev`
-/// hop (rdma::ChainHop), then bounds. A write hop deposits `len` bytes
-/// from `wsrc`; a read hop appends its payload to `out` and keeps its
-/// first (up to) 8 bytes, little-endian, in `*prev_word`.
-StatusCode ChainHop(MemoryRegion& mr, const rdma::ChainHop& hop,
-                    uint64_t* prev_word, const uint8_t* wsrc,
-                    std::vector<uint8_t>* out);
+/// hop (rdma::ChainHop), then bounds. The hop appends its payload to
+/// `out` and keeps its first (up to) 8 bytes, little-endian, in
+/// `*prev_word`.
+StatusCode ChainHop(const MemoryRegion& mr, const rdma::ChainHop& hop,
+                    uint64_t* prev_word, std::vector<uint8_t>* out);
 
 /// Post-side check of a chain on local region `local`: 1..kMaxChainHops
 /// hops, every local range in bounds, and every `addr_from_prev` hop
-/// preceded by a read hop of at least 8 bytes.
+/// preceded by a hop of at least 8 bytes.
 Status ValidateChain(const MemoryRegion& local, const rdma::ChainHop* hops,
                      uint32_t num_hops);
 
-/// Completion-side: scatters a successful chain's concatenated read
-/// payloads to each read hop's `local_offset` in `local`, in hop order.
+/// Completion-side: scatters a successful chain's concatenated payloads
+/// to each hop's `local_offset` in `local`, in hop order.
 void ScatterChainReads(const rdma::ChainHop* hops, uint32_t num_hops,
                        const uint8_t* payload, MemoryRegion& local);
 

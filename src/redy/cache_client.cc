@@ -1576,11 +1576,6 @@ void CacheClient::FailAllPending(CacheEntry& cache, const Status& status) {
   }
 }
 
-void CacheClient::ParkOp(CacheEntry& cache, SubOp op) {
-  cache.ctr.parked_ops->Inc();
-  cache.regions[op.vregion].parked.push_back(std::move(op));
-}
-
 void CacheClient::ReplayParked(CacheEntry& cache, uint32_t vregion) {
   VRegion& vr = cache.regions[vregion];
   for (SubOp& op : vr.parked) {

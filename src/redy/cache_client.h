@@ -715,7 +715,6 @@ class CacheClient {
   /// next op targeting the VM rebuilds the connection from scratch.
   uint64_t ResetConnection(CacheEntry& cache, ClientThread& thread,
                            cluster::VmId vm, const Status& status);
-  void ParkOp(CacheEntry& cache, SubOp op);
   void ReplayParked(CacheEntry& cache, uint32_t vregion);
   /// Enqueues an explicit kLease round trip for the region (two-sided;
   /// re-arms the lease after an idle expiry). Consults the

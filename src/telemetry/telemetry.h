@@ -11,7 +11,7 @@ namespace redy::telemetry {
 /// the fabric (rdma::Fabric::set_telemetry) and the cache client
 /// (CacheClient::Options::telemetry); components reach it from there.
 /// Metrics are always live (atomic counters cost nothing measurable);
-/// the tracer records only between Enable()/Disable().
+/// the tracer records only once Enable() is called.
 class Telemetry {
  public:
   explicit Telemetry(sim::Simulation* sim,

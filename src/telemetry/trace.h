@@ -51,7 +51,6 @@ class SpanTracer {
   SpanTracer& operator=(const SpanTracer&) = delete;
 
   void Enable() { enabled_ = true; }
-  void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   /// Registers a timeline lane. Tracks sharing `process` are grouped

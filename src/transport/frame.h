@@ -33,16 +33,12 @@ enum class FrameType : uint8_t {
   kRead = 4,
   /// Responder's answer to kRead: payload on success, empty on error.
   kReadResp = 5,
-  /// Two-sided send: payload delivered into the peer's posted receive.
-  kSend = 6,
-  /// Receiver's status for a kSend, token echoed.
-  kSendAck = 7,
-  /// NIC-offloaded dependent op chain: `aux` = hop count; payload =
-  /// aux × ChainHopWire followed by the write hops' payloads in hop
-  /// order. The responder worker executes every hop server-side, so
-  /// the wire sees ONE request and ONE response per chain.
+  /// NIC-offloaded read-only chain: `aux` = hop count; payload =
+  /// exactly aux × ChainHopWire. The responder worker executes every hop
+  /// server-side, so the wire sees ONE request and ONE response per
+  /// chain.
   kChain = 8,
-  /// Responder's answer to kChain: concatenated read-hop payloads on
+  /// Responder's answer to kChain: concatenated hop payloads on
   /// success, empty on abort; `aux` = hops actually executed.
   kChainResp = 9,
 };
@@ -85,8 +81,8 @@ struct ChainHopWire {
   uint8_t flags = 0;
   uint8_t pad[6] = {};
 
+  /// The only flag; a hop with any other bit set is malformed.
   static constexpr uint8_t kAddrFromPrev = 1;
-  static constexpr uint8_t kIsWrite = 2;
 };
 static_assert(sizeof(ChainHopWire) == 48, "chain hop wire layout");
 

@@ -60,17 +60,15 @@ bool WriteFully(int fd, const std::vector<uint8_t>& buf) {
 }
 
 ChainHopWire ToWire(const rdma::ChainHop& h) {
-  const int flags = (h.addr_from_prev ? ChainHopWire::kAddrFromPrev : 0) |
-                    (h.is_write ? ChainHopWire::kIsWrite : 0);
   return {h.key.rkey, h.key.epoch, h.remote_offset, h.local_offset, h.len,
-          h.addr_mask, h.addr_shift, static_cast<uint8_t>(flags)};
+          h.addr_mask, h.addr_shift,
+          h.addr_from_prev ? ChainHopWire::kAddrFromPrev : uint8_t{0}};
 }
 
 rdma::ChainHop FromWire(const ChainHopWire& w) {
   return {{w.rkey, w.epoch}, w.remote_offset, w.local_offset, w.len,
           w.addr_mask, w.addr_shift,
-          (w.flags & ChainHopWire::kAddrFromPrev) != 0,
-          (w.flags & ChainHopWire::kIsWrite) != 0};
+          (w.flags & ChainHopWire::kAddrFromPrev) != 0};
 }
 
 }  // namespace
@@ -187,10 +185,7 @@ bool SocketQueuePair::MustFollowFramedOp(bool write, uint32_t rkey,
     const PendingOp& op = pending_[i];
     if (op.direct || op.done) continue;  // its bytes have moved
     if (op.opcode == rdma::Opcode::kChain) {
-      if (write || std::any_of(op.chain_hops.begin(), op.chain_hops.end(),
-                               [](const auto& h) { return h.is_write; })) {
-        return true;
-      }
+      if (write) return true;  // a chain reads
     } else if ((op.opcode == rdma::Opcode::kWrite ||
                 (write && op.opcode == rdma::Opcode::kRead)) &&
                op.rkey == rkey && op.remote_offset < offset + len &&
@@ -275,40 +270,19 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   return Status::OK();
 }
 
-Status SocketQueuePair::PostSend(uint64_t wr_id, const rdma::MemoryRegion* mr,
-                                 uint64_t local_offset, uint64_t len) {
-  REDY_RETURN_IF_ERROR(CheckSendable());
-  if (!mr->InBounds(local_offset, len)) {
-    return Status::OutOfRange("local range outside region");
-  }
-  FrameHeader h;
-  h.type = static_cast<uint8_t>(FrameType::kSend);
-  h.token = next_op_token_;
-  Issue(PendingOp(wr_id, rdma::Opcode::kSend, len),
-        EncodeFrame(h, mr->data() + local_offset, len));
-  return Status::OK();
-}
-
 Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
                                   const rdma::ChainHop* hops,
                                   uint32_t num_hops) {
   REDY_RETURN_IF_ERROR(CheckSendable());
   REDY_RETURN_IF_ERROR(rdma::responder::ValidateChain(*mr, hops, num_hops));
-  // One request frame carries all descriptors, then the write hops'
-  // payloads (snapshotted at post time); the worker runs the chain
-  // (ExecuteChain) and answers with one kChainResp.
+  // One request frame carries all descriptors; the worker runs the
+  // chain (ExecuteChain) and answers with one kChainResp.
   uint64_t total_read = 0;
   std::vector<uint8_t> body(num_hops * sizeof(ChainHopWire));
   for (uint32_t i = 0; i < num_hops; i++) {
-    const rdma::ChainHop& hop = hops[i];
-    const ChainHopWire w = ToWire(hop);
+    const ChainHopWire w = ToWire(hops[i]);
     std::memcpy(body.data() + i * sizeof(w), &w, sizeof(w));
-    if (hop.is_write) {
-      body.insert(body.end(), mr->data() + hop.local_offset,
-                  mr->data() + hop.local_offset + hop.len);
-    } else {
-      total_read += hop.len;
-    }
+    total_read += hops[i].len;
   }
   FrameHeader h;
   h.type = static_cast<uint8_t>(FrameType::kChain);
@@ -373,33 +347,6 @@ void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
   }
 }
 
-StatusCode SocketQueuePair::AcceptIncomingSend(
-    const std::vector<uint8_t>& payload) {
-  if (broken_) return StatusCode::kUnavailable;
-  if (posted_recvs_.empty()) {
-    // The sim rejects a SEND with no posted receive at post time (the
-    // peer's state is visible); over a real transport the receiver can
-    // only report it in the completion. Same code, different leg.
-    return StatusCode::kFailedPrecondition;
-  }
-  const PostedRecv rv = posted_recvs_.front();
-  posted_recvs_.pop_front();
-  if (!static_cast<SocketNic*>(nic())->Holds(rv.mr)) {
-    return StatusCode::kProtectionError;
-  }
-  if (payload.size() > rv.capacity ||
-      !rv.mr->InBounds(rv.offset, payload.size())) {
-    return StatusCode::kOutOfRange;
-  }
-  std::memcpy(rv.mr->data() + rv.offset, payload.data(), payload.size());
-  recv_cq_.Push(rdma::WorkCompletion{rv.wr_id, rdma::Opcode::kRecv,
-                                     StatusCode::kOk,
-                                     static_cast<uint32_t>(payload.size()),
-                                     nic()->sim()->Now()});
-  rv.mr->NotifyRemoteWrite();
-  return StatusCode::kOk;
-}
-
 void SocketQueuePair::Break() {
   if (broken_) return;
   broken_ = true;
@@ -447,11 +394,6 @@ SocketNic::SocketNic(sim::Simulation* sim, SocketFabric* fabric,
                      net::ServerId server)
     : rdma::Nic(sim, fabric, server), fab_(fabric) {}
 
-bool SocketNic::Holds(const rdma::MemoryRegion* mr) const {
-  return std::any_of(regions_.begin(), regions_.end(),
-                     [mr](const auto& r) { return r.second.get() == mr; });
-}
-
 SocketNic::~SocketNic() {
   // Pull our regions out of the responder table before their storage
   // goes away. The fabric stops the worker pool before destroying NICs,
@@ -461,7 +403,7 @@ SocketNic::~SocketNic() {
 
 rdma::MemoryRegion* SocketNic::RegisterMemory(uint64_t bytes) {
   const uint32_t key = fab_->AllocRkey();
-  auto mr = std::make_unique<rdma::MemoryRegion>(this, bytes, key, key);
+  auto mr = std::make_unique<rdma::MemoryRegion>(this, bytes, key);
   rdma::MemoryRegion* out = mr.get();
   regions_.emplace(key, std::move(mr));
   registered_bytes_ += bytes;
@@ -686,15 +628,6 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
       pool_.Send(conn, std::move(frame));
       return;
     }
-    case FrameType::kSend: {
-      // Two-sided: receive matching touches the QP's posted-recv deque,
-      // which is loop state; the ack is sent from the loop continuation.
-      driver_->Post([this, bound_token, conn, token = hdr.token,
-                     p = std::move(payload)]() mutable {
-        HandleIncomingSend(bound_token, conn, token, std::move(p));
-      });
-      return;
-    }
     case FrameType::kChain: {
       // Chain responder: the epoll worker runs every hop server-side,
       // so a multi-op dependent sequence costs the client one doorbell
@@ -712,7 +645,6 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
     }
     case FrameType::kWriteAck:
     case FrameType::kReadResp:
-    case FrameType::kSendAck:
     case FrameType::kChainResp: {
       driver_->Post([this, bound_token, token = hdr.token,
                      status = hdr.status, aux = hdr.aux,
@@ -752,36 +684,29 @@ uint8_t SocketFabric::ExecuteChain(const FrameHeader& hdr,
                                    const std::vector<uint8_t>& payload,
                                    std::vector<uint8_t>* out,
                                    uint64_t* hops_done) {
-  // Frame boundary: `aux` descriptors, then at least the write hops'
-  // payload bytes.
+  // Frame boundary: exactly `aux` descriptors, each flagged with nothing
+  // but kAddrFromPrev, or no hop runs.
   const uint64_t num_hops = hdr.aux;
   if (num_hops == 0 || num_hops > rdma::kMaxChainHops ||
-      payload.size() < num_hops * sizeof(ChainHopWire)) {
+      payload.size() != num_hops * sizeof(ChainHopWire)) {
     return Code(StatusCode::kInvalidArgument);
   }
   rdma::ChainHop hops[rdma::kMaxChainHops];
-  uint64_t wbytes = payload.size() - num_hops * sizeof(ChainHopWire);
   for (uint64_t i = 0; i < num_hops; i++) {
     ChainHopWire w;
     std::memcpy(&w, payload.data() + i * sizeof(w), sizeof(w));
+    if ((w.flags & ~ChainHopWire::kAddrFromPrev) != 0) {
+      return Code(StatusCode::kInvalidArgument);
+    }
     hops[i] = FromWire(w);
-    if (!hops[i].is_write) continue;
-    if (hops[i].len > wbytes) return Code(StatusCode::kInvalidArgument);
-    wbytes -= hops[i].len;
   }
-  const uint8_t* wsrc = payload.data() + num_hops * sizeof(ChainHopWire);
   uint64_t prev_word = 0;
   for (uint64_t i = 0; i < num_hops; i++) {
-    const rdma::ChainHop& h = hops[i];
-    const uint8_t status = Respond(h.key.rkey, [&](rdma::MemoryRegion& mr) {
-      return rdma::responder::ChainHop(mr, h, &prev_word, wsrc, out);
-    });
+    const uint8_t status =
+        Respond(hops[i].key.rkey, [&](const rdma::MemoryRegion& mr) {
+          return rdma::responder::ChainHop(mr, hops[i], &prev_word, out);
+        });
     if (status != Code(StatusCode::kOk)) return status;
-    if (h.is_write) {
-      wsrc += h.len;
-      driver_->Post(
-          [this, rkey = h.key.rkey] { NotifyRemoteWriteOnLoop(rkey); });
-    }
     (*hops_done)++;
   }
   return Code(StatusCode::kOk);
@@ -804,22 +729,6 @@ void SocketFabric::DeliverAck(uint64_t qp_token, uint64_t op_token,
   if (it == qp_registry_.end()) return;
   it->second->CompleteOp(op_token, static_cast<StatusCode>(status), aux,
                          std::move(payload));
-}
-
-void SocketFabric::HandleIncomingSend(uint64_t qp_token,
-                                      WorkerPool::ConnId conn,
-                                      uint64_t op_token,
-                                      std::vector<uint8_t> payload) {
-  StatusCode status = StatusCode::kUnavailable;
-  auto it = qp_registry_.find(qp_token);
-  if (it != qp_registry_.end()) {
-    status = it->second->AcceptIncomingSend(payload);
-  }
-  FrameHeader ack;
-  ack.type = static_cast<uint8_t>(FrameType::kSendAck);
-  ack.status = Code(status);
-  ack.token = op_token;
-  pool_.Send(conn, EncodeFrame(ack, nullptr, 0));
 }
 
 rdma::MemoryRegion* SocketFabric::RegionOnLoop(uint32_t rkey) {

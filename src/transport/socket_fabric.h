@@ -28,24 +28,23 @@ class SocketNic;
 /// memory on the send side), a pending-op record keyed by a
 /// monotonically increasing op token is parked, and the frame is handed
 /// to the owning epoll worker. Acks flow back through the driver
-/// mailbox. A one-sided ack leaves the responder's worker directly while
-/// a SEND's ack leaves from the receiver's loop, so acks can arrive out
-/// of post order; CompleteOp holds an early ack until every earlier op
-/// has completed, which keeps the RC QP's in-order completion guarantee.
+/// mailbox.
 ///
 /// A READ or WRITE to a peer in this process sends no frame: the loop
 /// runs the responder itself (SocketFabric::Respond on the peer's
 /// fabric), copying straight between the two regions, and posts the ack
-/// to its own driver mailbox, so the completion still arrives in post
-/// order on a later loop pass. RC ordering says ops on
-/// one QP take effect in post order, so an op takes the framed path
-/// instead while an earlier framed op it could observe or overwrite is
-/// unacked: for a READ, an overlapping WRITE to the same rkey or a chain
-/// with a write hop; for a WRITE, an overlapping READ or WRITE to the
-/// same rkey or any chain. A WRITE into a region with a remote-write
-/// notifier (a polled batch ring) stays framed too, and so does a WRITE
-/// to a peer fabric driven by another loop, whose notifiers this loop
-/// may not read.
+/// to its own driver mailbox. A direct op's ack thus comes through the
+/// mailbox at once while a framed op's comes back later from a worker,
+/// so acks can arrive out of post order; CompleteOp holds an early ack
+/// until every earlier op has completed, which keeps the RC QP's
+/// in-order completion guarantee. RC ordering also says ops on one QP
+/// take effect in post order, so an op takes the framed path instead
+/// while an earlier framed op it could observe or overwrite is unacked:
+/// for a READ, an overlapping WRITE to the same rkey; for a WRITE, an
+/// overlapping READ or WRITE to the same rkey or any chain (a chain
+/// reads). A WRITE into a region with a remote-write notifier (a polled
+/// batch ring) stays framed too, and so does a WRITE to a peer fabric
+/// driven by another loop, whose notifiers this loop may not read.
 ///
 /// Connect() joins two queue pairs of this process with one AF_UNIX
 /// socketpair, each end pre-bound to its QP, so both ends are connected
@@ -70,12 +69,8 @@ class SocketQueuePair : public rdma::QueuePair {
   Status PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
                    uint64_t local_offset, rdma::RemoteKey key,
                    uint64_t remote_offset, uint64_t len) override;
-  Status PostSend(uint64_t wr_id, const rdma::MemoryRegion* mr,
-                  uint64_t local_offset, uint64_t len) override;
   Status PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
                    const rdma::ChainHop* hops, uint32_t num_hops) override;
-  // PostRecv: the base (loop-side posted-receive deque) is exactly what
-  // the socket backend needs, so it is inherited unchanged.
   void Break() override;
   bool connected() const override { return connected_; }
 
@@ -105,8 +100,8 @@ class SocketQueuePair : public rdma::QueuePair {
     uint32_t rkey = 0;
     uint64_t remote_offset = 0;
     /// kChain only: the posted hops, kept so the single response's
-    /// concatenated read payloads scatter back to each read hop's local
-    /// landing offset.
+    /// concatenated payloads scatter back to each hop's local landing
+    /// offset.
     std::vector<rdma::ChainHop> chain_hops;
     /// Set when the responder ran on the loop at post time, so the op's
     /// bytes have already moved and no later op orders behind it.
@@ -131,9 +126,8 @@ class SocketQueuePair : public rdma::QueuePair {
   SocketFabric* PeerFabric() const;
   /// Whether an earlier framed op, not yet acked, must take effect before
   /// a READ (`write` false) or WRITE (`write` true) of
-  /// [offset, offset + len) under `rkey`: an overlapping WRITE or a chain
-  /// with a write hop for a READ; an overlapping READ or WRITE or any
-  /// chain for a WRITE.
+  /// [offset, offset + len) under `rkey`: an overlapping WRITE for a
+  /// READ; an overlapping READ or WRITE or any chain for a WRITE.
   bool MustFollowFramedOp(bool write, uint32_t rkey, uint64_t offset,
                           uint64_t len) const;
   /// Loop-side: an ack/response frame for op `op_token` arrived. `aux`
@@ -141,8 +135,6 @@ class SocketQueuePair : public rdma::QueuePair {
   /// kChainResp; unused for the other acks).
   void CompleteOp(uint64_t op_token, StatusCode status, uint64_t aux,
                   std::vector<uint8_t> payload);
-  /// Loop-side: an incoming kSend; returns the status to ack.
-  StatusCode AcceptIncomingSend(const std::vector<uint8_t>& payload);
   /// Loop-side: a stream dialed from another process named this QP in
   /// its kConnect frame.
   void OnAccepted(WorkerPool::ConnId conn);
@@ -188,9 +180,6 @@ class SocketNic : public rdma::Nic {
   void Fail() override;
 
   SocketFabric* socket_fabric() const { return fab_; }
-  /// Whether `mr` is still registered here. Posted receives hold bare
-  /// region pointers, and deregistration frees a region at once.
-  bool Holds(const rdma::MemoryRegion* mr) const;
 
   /// Builds a remote endpoint descriptor owned by this NIC (used by the
   /// cross-process control plane to materialize ConnectionInfo).
@@ -271,8 +260,9 @@ class SocketFabric : public rdma::Fabric {
   /// fenced answer is counted on the loop. No notifier runs.
   template <typename Fn>
   uint8_t Respond(uint32_t rkey, Fn&& fn);
-  /// Worker-side chain responder: decodes the kChain frame, then runs
-  /// its hops in order, appending read payloads to `out`; `hops_done`
+  /// Worker-side chain responder: decodes the kChain frame, answering
+  /// kInvalidArgument before any hop runs if it is malformed, then runs
+  /// its hops in order, appending their payloads to `out`; `hops_done`
   /// reports how many hops ran before success/abort.
   uint8_t ExecuteChain(const FrameHeader& hdr,
                        const std::vector<uint8_t>& payload,
@@ -282,8 +272,6 @@ class SocketFabric : public rdma::Fabric {
   void BindAcceptedConn(uint64_t qp_token, WorkerPool::ConnId conn);
   void DeliverAck(uint64_t qp_token, uint64_t op_token, uint8_t status,
                   uint64_t aux, std::vector<uint8_t> payload);
-  void HandleIncomingSend(uint64_t qp_token, WorkerPool::ConnId conn,
-                          uint64_t op_token, std::vector<uint8_t> payload);
   /// Loop-side: the registered region under `rkey`, or nullptr.
   rdma::MemoryRegion* RegionOnLoop(uint32_t rkey);
   /// Loop-side: whether a write into `rkey` must wake a poller.

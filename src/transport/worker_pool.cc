@@ -183,13 +183,6 @@ void WorkerPool::Close(ConnId conn) {
   }
 }
 
-void WorkerPool::BindToken(ConnId conn, uint64_t token) {
-  const int worker = WorkerOf(conn);
-  REDY_CHECK(OnWorker(worker));
-  auto it = workers_[worker]->conns.find(conn);
-  if (it != workers_[worker]->conns.end()) it->second->bound_token = token;
-}
-
 void WorkerPool::CloseConn(Worker& w, Conn& c) {
   if (c.closing) return;
   c.closing = true;

@@ -85,10 +85,6 @@ class WorkerPool {
   /// worker). Thread-safe, idempotent.
   void Close(ConnId conn);
 
-  /// Rebinds the stream's QP token. Owning worker only (i.e. from
-  /// inside on_frame for this connection).
-  void BindToken(ConnId conn, uint64_t token);
-
   /// Registers a listening socket on worker 0; `on_accept` runs on
   /// worker 0 for every accepted fd (typically forwarding to
   /// AddConnection). Call before or after Start. Takes ownership.

@@ -179,20 +179,6 @@ TEST_F(VmAllocatorTest, WaiterStormDoesNotStarveOldestWaiter) {
   }
 }
 
-TEST_F(VmAllocatorTest, CancelledCapacityWaiterNeverFires) {
-  std::vector<int> fired;
-  alloc_.WaitForCapacity([&] { fired.push_back(0); });
-  const uint64_t mid = alloc_.WaitForCapacity([&] { fired.push_back(1); });
-  alloc_.WaitForCapacity([&] { fired.push_back(2); });
-  EXPECT_TRUE(alloc_.CancelWaitForCapacity(mid));
-  EXPECT_FALSE(alloc_.CancelWaitForCapacity(mid)) << "already removed";
-  auto vm = alloc_.Allocate(4, 16 * kGiB, false);
-  ASSERT_TRUE(vm.ok());
-  alloc_.Free(vm->id);
-  sim_.RunFor(1);
-  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
-}
-
 TEST(VmTypesTest, MenuIsSane) {
   auto menu = cluster::DefaultVmMenu();
   ASSERT_FALSE(menu.empty());

@@ -323,21 +323,6 @@ TEST_F(RdmaTest, ServerShutdownFencesInFlightWrites) {
   }
 }
 
-TEST_F(RdmaTest, SendRecvDeliversToPostedBuffer) {
-  MemoryRegion* src = client_nic_->RegisterMemory(4096);
-  MemoryRegion* dst = server_nic_->RegisterMemory(4096);
-  const char msg[] = "rpc payload";
-  std::memcpy(src->data(), msg, sizeof(msg));
-  ASSERT_TRUE(sqp_->PostRecv(42, dst, 0, 4096).ok());
-  ASSERT_TRUE(cqp_->PostSend(7, src, 0, sizeof(msg)).ok());
-  sim_.Run();
-  WorkCompletion rwc;
-  ASSERT_EQ(sqp_->recv_cq().Poll(&rwc, 1), 1);
-  EXPECT_EQ(rwc.wr_id, 42u);
-  EXPECT_EQ(rwc.status, StatusCode::kOk);
-  EXPECT_EQ(std::memcmp(dst->data(), msg, sizeof(msg)), 0);
-}
-
 TEST_F(RdmaTest, PipeliningImprovesThroughput) {
   // Queue depth q ops overlap the round trip: q=8 must finish ~8 ops in
   // scarcely more than one RTT, not 8 RTTs (fully-loaded QPs, Section 4.3).
@@ -363,7 +348,7 @@ TEST_F(RdmaTest, PipeliningImprovesThroughput) {
 // The responder core on a bare region: no NIC, no fabric, no timing.
 
 TEST(ResponderTest, StaleEpochWriteDepositsNothing) {
-  MemoryRegion mr(nullptr, 64, 1, 1);
+  MemoryRegion mr(nullptr, 64, 1);
   std::memset(mr.data(), 0xAB, 64);
   const uint32_t stale = mr.epoch();
   mr.RevokeEpoch();
@@ -380,7 +365,7 @@ TEST(ResponderTest, StaleEpochWriteDepositsNothing) {
 }
 
 TEST(ResponderTest, ReadSucceedsAfterRevokeEpoch) {
-  MemoryRegion mr(nullptr, 64, 1, 1);
+  MemoryRegion mr(nullptr, 64, 1);
   const char msg[] = "still readable";
   std::memcpy(mr.data() + 8, msg, sizeof(msg));
   mr.RevokeEpoch();
@@ -392,7 +377,7 @@ TEST(ResponderTest, ReadSucceedsAfterRevokeEpoch) {
 }
 
 TEST(ResponderTest, OutOfRangeOrOverflowingRangeMovesNoBytes) {
-  MemoryRegion mr(nullptr, 64, 1, 1);
+  MemoryRegion mr(nullptr, 64, 1);
   std::memset(mr.data(), 0xAB, 64);
   std::vector<uint8_t> buf(16, 0x5A);
   // Past the end, and an offset whose offset + len wraps around.
@@ -407,7 +392,7 @@ TEST(ResponderTest, OutOfRangeOrOverflowingRangeMovesNoBytes) {
     hop.len = 8;
     uint64_t prev_word = 0;
     std::vector<uint8_t> out;
-    EXPECT_EQ(rdma::responder::ChainHop(mr, hop, &prev_word, nullptr, &out),
+    EXPECT_EQ(rdma::responder::ChainHop(mr, hop, &prev_word, &out),
               StatusCode::kAborted);
     EXPECT_TRUE(out.empty());
   }
@@ -416,7 +401,7 @@ TEST(ResponderTest, OutOfRangeOrOverflowingRangeMovesNoBytes) {
 }
 
 TEST(ResponderTest, ChainHopChasesMaskedShiftedPointerAndFencesReadHops) {
-  MemoryRegion mr(nullptr, 256, 1, 1);
+  MemoryRegion mr(nullptr, 256, 1);
   // A tagged pointer: the high bits are a tag the mask drops, and the
   // low bits hold the target offset shifted left by 4.
   const uint64_t word = 0xABCD000000000000ull | (uint64_t{64} << 4);
@@ -437,16 +422,16 @@ TEST(ResponderTest, ChainHopChasesMaskedShiftedPointerAndFencesReadHops) {
   data.addr_from_prev = true;
   uint64_t prev_word = 0;
   std::vector<uint8_t> out;
-  ASSERT_EQ(rdma::responder::ChainHop(mr, ptr, &prev_word, nullptr, &out),
+  ASSERT_EQ(rdma::responder::ChainHop(mr, ptr, &prev_word, &out),
             StatusCode::kOk);
   EXPECT_EQ(prev_word, word);
-  ASSERT_EQ(rdma::responder::ChainHop(mr, data, &prev_word, nullptr, &out),
+  ASSERT_EQ(rdma::responder::ChainHop(mr, data, &prev_word, &out),
             StatusCode::kOk);
   ASSERT_EQ(out.size(), 8 + sizeof(msg));
   EXPECT_EQ(std::memcmp(out.data() + 8, msg, sizeof(msg)), 0);
 
   // The completion side lands each read hop at its local offset.
-  MemoryRegion local(nullptr, 64, 2, 2);
+  MemoryRegion local(nullptr, 64, 2);
   const rdma::ChainHop hops[] = {ptr, data};
   rdma::responder::ScatterChainReads(hops, 2, out.data(), local);
   EXPECT_EQ(std::memcmp(local.data(), &word, sizeof(word)), 0);
@@ -456,14 +441,14 @@ TEST(ResponderTest, ChainHopChasesMaskedShiftedPointerAndFencesReadHops) {
   mr.RevokeEpoch();
   prev_word = 7;
   out.clear();
-  EXPECT_EQ(rdma::responder::ChainHop(mr, ptr, &prev_word, nullptr, &out),
+  EXPECT_EQ(rdma::responder::ChainHop(mr, ptr, &prev_word, &out),
             StatusCode::kProtectionError);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(prev_word, 7u);
 }
 
 TEST(ResponderTest, ValidateChainRejectsMalformedShapes) {
-  MemoryRegion local(nullptr, 64, 1, 1);
+  MemoryRegion local(nullptr, 64, 1);
   rdma::ChainHop hops[rdma::kMaxChainHops + 1];
   for (rdma::ChainHop& h : hops) h.len = 8;
   EXPECT_TRUE(rdma::responder::ValidateChain(local, hops, 2).ok());
@@ -478,17 +463,13 @@ TEST(ResponderTest, ValidateChainRejectsMalformedShapes) {
   hops[1].local_offset = 60;
   EXPECT_TRUE(rdma::responder::ValidateChain(local, hops, 2).IsOutOfRange());
   hops[1].local_offset = 0;
-  // A dependent hop first, after a write hop, or after a < 8 B read.
+  // A dependent hop first, or after a < 8 B hop.
   hops[0].addr_from_prev = true;
   EXPECT_TRUE(
       rdma::responder::ValidateChain(local, hops, 2).IsInvalidArgument());
   hops[0].addr_from_prev = false;
   hops[1].addr_from_prev = true;
   EXPECT_TRUE(rdma::responder::ValidateChain(local, hops, 2).ok());
-  hops[0].is_write = true;
-  EXPECT_TRUE(
-      rdma::responder::ValidateChain(local, hops, 2).IsInvalidArgument());
-  hops[0].is_write = false;
   hops[0].len = 4;
   EXPECT_TRUE(
       rdma::responder::ValidateChain(local, hops, 2).IsInvalidArgument());

@@ -8,8 +8,12 @@
 // backend-independent.
 // Everything here is bounded to a few wall-clock seconds: this file is
 // the tier-1 loopback smoke test.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -825,55 +829,6 @@ TEST_P(BackendRdmaTest, WriteToDeregisteredRegionIsProtectionError) {
   EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
 }
 
-TEST_P(BackendRdmaTest, SendRecvDeliversToPostedBuffer) {
-  const char msg[] = "rpc payload";
-  std::memcpy(local_->data(), msg, sizeof(msg));
-  harness_->Run([&] {
-    EXPECT_TRUE(sqp_->PostRecv(42, remote_, 0, 4096).ok());
-    EXPECT_TRUE(cqp_->PostSend(7, local_, 0, sizeof(msg)).ok());
-  });
-  WorkCompletion rwc;
-  bool got = false;
-  ASSERT_TRUE(harness_->Await([&] {
-    if (!got && sqp_->recv_cq().Poll(&rwc, 1) == 1) got = true;
-    return got;
-  }));
-  EXPECT_EQ(rwc.wr_id, 42u);
-  EXPECT_EQ(rwc.status, StatusCode::kOk);
-  EXPECT_EQ(std::memcmp(remote_->data(), msg, sizeof(msg)), 0);
-}
-
-TEST_P(BackendRdmaTest, SendThenWritesCompleteInPostOrder) {
-  // The receiver's loop acks a SEND while the responder's worker acks a
-  // WRITE, so on the socket backend the WRITE acks can overtake the
-  // SEND's. Completions must still come back in post order.
-  const char msg[] = "sent before the writes";
-  std::memcpy(local_->data(), msg, sizeof(msg));
-  for (int i = 0; i < 32; i++) local_->data()[1024 + i] = 0x40 + i;
-  harness_->Run([&] {
-    EXPECT_TRUE(sqp_->PostRecv(100, remote_, 0, 4096).ok());
-    EXPECT_TRUE(cqp_->PostSend(1, local_, 0, sizeof(msg)).ok());
-    for (uint64_t k = 0; k < 4; k++) {
-      EXPECT_TRUE(cqp_->PostWrite(2 + k, local_, 1024 + 8 * k,
-                                  remote_->remote_key(), 8192 + 8 * k, 8)
-                      .ok());
-    }
-    // Hold the loop, which must run the receiver's side of the SEND, so
-    // the WRITE acks surely reach the initiator first.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  });
-  auto wcs = DrainN(5);
-  ASSERT_EQ(wcs.size(), 5u);
-  for (size_t i = 0; i < wcs.size(); i++) {
-    EXPECT_EQ(wcs[i].wr_id, i + 1) << "completion " << i;
-    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
-    EXPECT_EQ(wcs[i].opcode,
-              i == 0 ? rdma::Opcode::kSend : rdma::Opcode::kWrite);
-  }
-  EXPECT_EQ(std::memcmp(remote_->data(), msg, sizeof(msg)), 0);
-  EXPECT_EQ(std::memcmp(remote_->data() + 8192, local_->data() + 1024, 32), 0);
-}
-
 // ---------------------------------------------------------------------------
 // NIC-offloaded op chains (DESIGN.md §15): one doorbell drives a
 // dependent multi-op sequence on the responder NIC; the client sees a
@@ -917,44 +872,15 @@ TEST_P(BackendRdmaTest, ChainPointerChaseFollowsMaskedRemotePointer) {
   EXPECT_EQ(std::memcmp(local_->data() + 64, msg, sizeof(msg)), 0);
 }
 
-TEST_P(BackendRdmaTest, ChainWaitOnCqGatesDependentHop) {
-  // A write hop followed by a read of the SAME remote range: the read
-  // fires only after the write's completion (WAIT-on-CQ), so it must
-  // observe the written bytes, not the old contents.
-  std::memset(remote_->data(), 0, 64);
-  const char msg[] = "write-then-read, in order";
-  std::memcpy(local_->data(), msg, sizeof(msg));
-  rdma::ChainHop hops[2];
-  hops[0].key = remote_->remote_key();
-  hops[0].remote_offset = 32;
-  hops[0].local_offset = 0;
-  hops[0].len = sizeof(msg);
-  hops[0].is_write = true;
-  hops[1].key = remote_->remote_key();
-  hops[1].remote_offset = 32;
-  hops[1].local_offset = 4096;
-  hops[1].len = sizeof(msg);
-  bool posted = false;
-  harness_->Run(
-      [&] { posted = cqp_->PostChain(12, local_, hops, 2).ok(); });
-  ASSERT_TRUE(posted);
-  auto wcs = DrainN(1);
-  ASSERT_EQ(wcs.size(), 1u);
-  EXPECT_EQ(wcs[0].status, StatusCode::kOk);
-  EXPECT_EQ(wcs[0].byte_len, sizeof(msg));  // only the read hop lands
-  EXPECT_EQ(std::memcmp(remote_->data() + 32, msg, sizeof(msg)), 0);
-  EXPECT_EQ(std::memcmp(local_->data() + 4096, msg, sizeof(msg)), 0);
-}
-
 TEST_P(BackendRdmaTest, ChainAbortsOnStaleEpochMidChainWithZeroBytes) {
-  // Hop 0 is fine; hop 1 carries a stale epoch; hop 2 would write. The
+  // Hop 0 is fine; hop 1 carries a stale epoch; hop 2 would read. The
   // chain must deliver ONE poisoned completion with byte_len 0, land no
-  // read bytes locally, and never execute the write hop.
+  // bytes locally, and never run hop 2.
   const uint64_t word = 512;
   std::memcpy(remote_->data(), &word, sizeof(word));
-  std::memset(remote_->data() + 2048, 0, 16);
-  std::memset(local_->data(), 0, 256);
-  std::memset(local_->data() + 128, 0x7C, 16);  // write-hop source
+  std::memset(remote_->data() + 2048, 0x3C, 16);
+  std::memset(local_->data(), 0, 128);
+  std::memset(local_->data() + 128, 0x7C, 16);  // hop 2's landing sentinel
   rdma::RemoteKey stale = remote_->remote_key();
   stale.epoch -= 1;  // models racing an epoch bump between hops
   rdma::ChainHop hops[3];
@@ -971,7 +897,6 @@ TEST_P(BackendRdmaTest, ChainAbortsOnStaleEpochMidChainWithZeroBytes) {
   hops[2].remote_offset = 2048;
   hops[2].local_offset = 128;
   hops[2].len = 16;
-  hops[2].is_write = true;
   bool posted = false;
   harness_->Run(
       [&] { posted = cqp_->PostChain(13, local_, hops, 3).ok(); });
@@ -981,14 +906,14 @@ TEST_P(BackendRdmaTest, ChainAbortsOnStaleEpochMidChainWithZeroBytes) {
   EXPECT_EQ(wcs[0].wr_id, 13u);
   EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
   EXPECT_EQ(wcs[0].byte_len, 0u);
-  // Zero bytes touched past the fence: no read payload landed locally
-  // (not even hop 0's), and the tail write hop never ran.
+  // Zero bytes touched past the fence: no payload landed locally, not
+  // even hop 0's, and hop 2's landing range keeps its sentinel.
   for (int i = 0; i < 128; i++) {
     ASSERT_EQ(local_->data()[i], 0) << "aborted chain landed byte " << i;
   }
   for (int i = 0; i < 16; i++) {
-    ASSERT_EQ(remote_->data()[2048 + i], 0)
-        << "tail write hop ran at byte " << i;
+    ASSERT_EQ(local_->data()[128 + i], 0x7C)
+        << "tail hop landed byte " << i;
   }
   // The QP stays usable after an aborted chain.
   harness_->Run([&] {
@@ -1068,10 +993,6 @@ TEST_P(BackendRdmaTest, ChainRejectsMalformedDescriptors) {
     bad[0].len = 8;
     bad[0].addr_from_prev = true;
     EXPECT_FALSE(cqp_->PostChain(3, local_, bad, 1).ok());
-    // A dependent hop after a write hop (no landed word to chase).
-    rdma::ChainHop wr_then_dep[2] = {hops[0], hops[1]};
-    wr_then_dep[0].is_write = true;
-    EXPECT_FALSE(cqp_->PostChain(4, local_, wr_then_dep, 2).ok());
     // Local range outside the MR.
     rdma::ChainHop oob[1];
     oob[0].key = remote_->remote_key();
@@ -1315,33 +1236,72 @@ TEST_P(DirectWriteTest, RevocationBetweenTwoWritesFencesTheSecond) {
 INSTANTIATE_TEST_SUITE_P(Backends, DirectWriteTest,
                          ::testing::Values(Backend::kSocket), BackendName);
 
-// The socket NIC frees a deregistered region at once (the simulated NIC
-// keeps it through a grace period), so a SEND must not land in a posted
-// receive whose region has gone since.
-class SocketRdmaTest : public BackendRdmaTest {};
+// A kChain frame comes from outside the process, so the responder
+// checks its shape before any hop runs. A plain TCP stream dialed to the
+// listener needs no kConnect: a worker answers a kChain on the stream it
+// arrived on.
+class ChainFrameTest : public BackendRdmaTest {};
 
-TEST_P(SocketRdmaTest, SendIntoDeregisteredReceiveBufferFails) {
-  harness_->Run([&] {
-    MemoryRegion* rbuf = server_nic_->RegisterMemory(4096);
-    EXPECT_TRUE(sqp_->PostRecv(42, rbuf, 0, 4096).ok());
-    server_nic_->DeregisterMemory(rbuf);
-    EXPECT_TRUE(cqp_->PostSend(7, local_, 0, 64).ok());
-  });
-  auto wcs = DrainN(1);
-  ASSERT_EQ(wcs.size(), 1u);
-  EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
-  int recvs = -1;
-  harness_->Run([&] {
-    WorkCompletion wc;
-    recvs = sqp_->recv_cq().Poll(&wc, 1);
-  });
-  EXPECT_EQ(recvs, 0);
+TEST_P(ChainFrameTest, MalformedChainFramesRunNoHop) {
+  auto& server = static_cast<SocketFabric&>(harness_->server_fabric());
+  std::memset(remote_->data(), 0x11, 64);
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(inet_pton(AF_INET, server.listen_host().c_str(), &addr.sin_addr),
+            1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  auto send_chain = [&](uint64_t token, uint8_t flags, uint64_t trailing) {
+    transport::ChainHopWire w;
+    w.rkey = remote_->remote_key().rkey;
+    w.epoch = remote_->remote_key().epoch;
+    w.len = 8;
+    w.flags = flags;
+    std::vector<uint8_t> body(sizeof(w) + trailing, 0x5A);
+    std::memcpy(body.data(), &w, sizeof(w));
+    transport::FrameHeader h;
+    h.type = static_cast<uint8_t>(transport::FrameType::kChain);
+    h.token = token;
+    h.aux = 1;
+    const auto frame = transport::EncodeFrame(h, body.data(), body.size());
+    return ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(frame.size());
+  };
+  // A hop flagged 2, a bit other than kAddrFromPrev, with 8 bytes behind
+  // its descriptor.
+  ASSERT_TRUE(send_chain(1, 2, 8));
+  // A well-formed read hop with 8 stray bytes behind its descriptor.
+  ASSERT_TRUE(send_chain(2, 0, 8));
+
+  for (uint64_t token = 1; token <= 2; token++) {
+    transport::FrameHeader resp;
+    ASSERT_EQ(recv(fd, &resp, sizeof(resp), MSG_WAITALL),
+              static_cast<ssize_t>(sizeof(resp)))
+        << "no answer to chain " << token;
+    EXPECT_EQ(resp.type, static_cast<uint8_t>(transport::FrameType::kChainResp));
+    EXPECT_EQ(resp.token, token);
+    EXPECT_EQ(resp.status, static_cast<uint8_t>(StatusCode::kInvalidArgument))
+        << "chain " << token;
+    EXPECT_EQ(resp.aux, 0u) << "chain " << token << " ran a hop";
+    std::vector<uint8_t> rest(resp.payload_len);
+    if (!rest.empty()) {
+      ASSERT_EQ(recv(fd, rest.data(), rest.size(), MSG_WAITALL),
+                static_cast<ssize_t>(rest.size()));
+    }
+  }
+  close(fd);
+  for (int i = 0; i < 64; i++) {
+    ASSERT_EQ(remote_->data()[i], 0x11) << "target byte " << i << " changed";
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, SocketRdmaTest,
-                         ::testing::Values(Backend::kSocket,
-                                           Backend::kSocketTcp),
-                         BackendName);
+INSTANTIATE_TEST_SUITE_P(Backends, ChainFrameTest,
+                         ::testing::Values(Backend::kSocketTcp), BackendName);
 
 // ---------------------------------------------------------------------------
 // Full-stack slice: the unmodified CacheClient/CacheServer stack runs
