@@ -35,6 +35,7 @@
 #include "bench_common.h"
 #include "chaos/fault_injector.h"
 #include "chaos/overload_storm.h"
+#include "common/logging.h"
 #include "redy/cache_client.h"
 
 using namespace redy;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/logging.h"
 #include "redy/cache_client.h"
 
 using namespace redy;

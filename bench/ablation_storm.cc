@@ -12,6 +12,7 @@
 #include "bench_common.h"
 #include "chaos/fault_injector.h"
 #include "chaos/storm.h"
+#include "common/logging.h"
 #include "redy/cache_client.h"
 
 using namespace redy;

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/logging.h"
 #include "rdma/queue_pair.h"
 #include "redy/testbed.h"
 

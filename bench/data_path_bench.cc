@@ -44,6 +44,7 @@
 #include "bench_common.h"
 #include "common/flat_map.h"
 #include "common/inline_callable.h"
+#include "common/logging.h"
 #include "faster_bench.h"
 #include "redy/testbed.h"
 #include "sim/poller.h"

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "common/logging.h"
 #include "faster/devices.h"
 #include "faster/redy_device.h"
 #include "faster/store.h"

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/logging.h"
 #include "sim/poller.h"
 
 namespace redy::bench {

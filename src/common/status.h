@@ -59,9 +59,6 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
@@ -92,9 +89,6 @@ class Status {
   static Status DataCorruption(std::string msg) {
     return Status(StatusCode::kDataCorruption, std::move(msg));
   }
-  static Status Busy(std::string msg) {
-    return Status(StatusCode::kBusy, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -104,7 +98,6 @@ class Status {
     return code_ == StatusCode::kInvalidArgument;
   }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
   }
@@ -113,9 +106,7 @@ class Status {
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
-  bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
-  bool IsUnimplemented() const { return code_ == StatusCode::kUnimplemented; }
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
   }

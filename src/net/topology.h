@@ -2,7 +2,6 @@
 #define REDY_NET_TOPOLOGY_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "net/fabric_params.h"
 
@@ -45,9 +44,6 @@ class Topology {
     if (PodOf(a) == PodOf(b)) return 3;
     return 5;
   }
-
-  /// All servers within `max_hops` switches of `from` (excluding itself).
-  std::vector<ServerId> ServersWithin(ServerId from, int max_hops) const;
 
   int num_racks() const { return pods_ * racks_per_pod_; }
 

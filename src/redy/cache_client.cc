@@ -164,8 +164,6 @@ void CacheClient::StartThreads(CacheEntry* cache) {
     auto thread = std::make_unique<ClientThread>();
     thread->index = t;
     thread->cache = cache;
-    thread->ring =
-        std::make_unique<ringbuf::SpscRing<SubOp>>(kBatchRingCapacity);
     thread->rng = Rng(0xC11E47 ^ (cache->id << 8) ^ t);
     ClientThread* thread_ptr = thread.get();
     thread->poller = std::make_unique<sim::Poller>(
@@ -298,7 +296,7 @@ Status CacheClient::Submit(CacheId id, OpCode op, uint64_t addr, void* dst,
   const uint32_t total_pieces = duplicate ? pieces * 2 : pieces;
 
   // All pieces must fit in the ring or we reject the call atomically.
-  if (thread.ring->Size() + total_pieces > thread.ring->Capacity()) {
+  if (thread.ring.size() + total_pieces > kBatchRingCapacity) {
     return Status::ResourceExhausted("client thread batch ring full");
   }
 
@@ -334,22 +332,13 @@ Status CacheClient::Submit(CacheId id, OpCode op, uint64_t addr, void* dst,
                    state->start, {"addr", addr}, {"bytes", size});
   }
 
-  // Count the op in flight before the first piece can complete:
-  // a piece failing synchronously below must find the op accounted.
   cache->inflight_ops++;
   cache->ctr.inflight->Set(static_cast<int64_t>(cache->inflight_ops));
 
-  // The capacity pre-check makes the pushes below succeed in every
-  // single-submitter schedule, but a full ring mid-split must not
-  // crash or half-apply a replicated write silently: once any piece
-  // fails to stage, no further piece is pushed and the un-pushed
-  // remainder completes with ResourceExhausted, so the op's callback
-  // surfaces the backpressure instead of a REDY_CHECK abort.
   uint64_t off = addr;
   uint64_t remaining = direct_span;
   uint8_t* d = static_cast<uint8_t*>(dst);
   const uint8_t* s = static_cast<const uint8_t*>(src);
-  uint32_t failed_pieces = 0;
   while (remaining > 0) {
     const uint32_t vr = static_cast<uint32_t>(off / cache->region_bytes);
     const uint64_t roff = off % cache->region_bytes;
@@ -368,35 +357,17 @@ Status CacheClient::Submit(CacheId id, OpCode op, uint64_t addr, void* dst,
     if (duplicate) {
       SubOp twin = sub;
       twin.to_replica = true;
-      if (failed_pieces > 0 || !thread.ring->TryPush(std::move(twin))) {
-        failed_pieces++;
-      } else {
-        retry_budget_.Deposit();
-        hedge_budget_.Deposit();
-      }
-    }
-    if (failed_pieces > 0 || !thread.ring->TryPush(std::move(sub))) {
-      failed_pieces++;
-    } else {
+      thread.ring.push_back(std::move(twin));
       retry_budget_.Deposit();
       hedge_budget_.Deposit();
     }
+    thread.ring.push_back(std::move(sub));
+    retry_budget_.Deposit();
+    hedge_budget_.Deposit();
     off += chunk;
     remaining -= chunk;
     if (d != nullptr) d += chunk;
     if (s != nullptr) s += chunk;
-  }
-  if (failed_pieces > 0) {
-    const Status st =
-        Status::ResourceExhausted("client thread batch ring full");
-    const uint32_t gen = state->gen;
-    for (uint32_t i = 0; i < failed_pieces; i++) {
-      SubOp fail;
-      fail.op = op;
-      fail.state = state;
-      fail.state_gen = gen;
-      CompleteSubOp(*cache, fail, st);
-    }
   }
   if (thread.poller) thread.poller->Wake();
   return Status::OK();
@@ -527,7 +498,7 @@ bool CacheClient::ThreadWaitingOnRemote(const ClientThread& thread) const {
   // Sub-op expiry is detected by the polling sweep, not by an event,
   // so any armed timeout requires the cadence.
   if (options_.sub_op_timeout_ns != 0) return false;
-  if (!thread.ring->Empty() || !thread.replay.empty() ||
+  if (!thread.ring.empty() || !thread.replay.empty() ||
       !thread.delayed.empty()) {
     return false;
   }
@@ -544,7 +515,7 @@ bool CacheClient::ThreadWaitingOnRemote(const ClientThread& thread) const {
 }
 
 bool CacheClient::ThreadFullyIdle(const ClientThread& thread) {
-  if (!thread.ring->Empty() || !thread.replay.empty() ||
+  if (!thread.ring.empty() || !thread.replay.empty() ||
       !thread.delayed.empty()) {
     return false;
   }
@@ -796,9 +767,9 @@ uint64_t CacheClient::DrainSubmissions(CacheEntry& cache,
       op = std::move(thread.replay.front());
       thread.replay.pop_front();
     } else {
-      auto popped = thread.ring->TryPop();
-      if (!popped.has_value()) break;
-      op = std::move(*popped);
+      if (thread.ring.empty()) break;
+      op = std::move(thread.ring.front());
+      thread.ring.pop_front();
       consumed += options_.costs.batch_ring_pop_ns;
       if (!options_.costs.lockfree_rings) {
         consumed += options_.costs.lock_cost_ns;
@@ -1537,10 +1508,10 @@ uint64_t CacheClient::ResetConnection(CacheEntry& cache, ClientThread& thread,
 
 void CacheClient::FailAllPending(CacheEntry& cache, const Status& status) {
   for (auto& t : cache.threads) {
-    while (true) {
-      auto op = t->ring->TryPop();
-      if (!op.has_value()) break;
-      CompleteSubOp(cache, *op, status);
+    while (!t->ring.empty()) {
+      SubOp op = std::move(t->ring.front());
+      t->ring.pop_front();
+      CompleteSubOp(cache, op, status);
     }
     for (size_t i = 0; i < t->replay.size(); i++) {
       CompleteSubOp(cache, t->replay[i], status);

@@ -25,7 +25,6 @@
 #include "redy/overload.h"
 #include "redy/protocol.h"
 #include "redy/slo.h"
-#include "ringbuf/spsc_ring.h"
 #include "sim/poller.h"
 #include "telemetry/telemetry.h"
 
@@ -522,7 +521,10 @@ class CacheClient {
   struct ClientThread {
     uint32_t index = 0;
     CacheEntry* cache = nullptr;
-    std::unique_ptr<ringbuf::SpscRing<SubOp>> ring;
+    /// Batch ring (paper §4.3), bounded at kBatchRingCapacity by
+    /// Submit. Both ends run on the loop thread, so a plain queue; the
+    /// lock-free versus locked pop cost is charged by CostModel.
+    common::VecDeque<SubOp> ring;
     /// Unparked ops, drained before the ring. Ring-buffer deque: the
     /// queue oscillates around empty under backpressure, and
     /// std::deque's block churn at that boundary was the last

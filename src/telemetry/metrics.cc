@@ -245,37 +245,4 @@ std::string MetricsRegistry::ToJson() {
   return out;
 }
 
-std::string MetricsRegistry::ToTable() {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%-44s %-24s %s\n", "metric", "labels",
-                "value");
-  out += buf;
-  for (Entry* entry : SnapshotEntries()) {
-    Entry& e = *entry;
-    const std::string labels = LabelString(e.labels);
-    switch (e.kind) {
-      case Kind::kCounter:
-        std::snprintf(buf, sizeof(buf), "%-44s %-24s %" PRIu64 "\n",
-                      e.name.c_str(), labels.c_str(), e.counter->Value());
-        break;
-      case Kind::kGauge:
-        std::snprintf(buf, sizeof(buf), "%-44s %-24s %" PRId64 "\n",
-                      e.name.c_str(), labels.c_str(), e.gauge->Value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram h = e.histogram->SnapshotCumulative();
-        std::snprintf(buf, sizeof(buf),
-                      "%-44s %-24s count=%" PRIu64 " p50=%" PRIu64
-                      " p99=%" PRIu64 " max=%" PRIu64 "\n",
-                      e.name.c_str(), labels.c_str(), h.count(),
-                      h.Percentile(0.5), h.Percentile(0.99), h.max());
-        break;
-      }
-    }
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace redy::telemetry

@@ -131,7 +131,6 @@ class MetricsRegistry {
 
   /// Deterministic snapshots: metrics in registration order.
   std::string ToJson();
-  std::string ToTable();
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,6 +1,5 @@
 #include "transport/remote_control.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -9,7 +8,7 @@
 #include <cstring>
 #include <utility>
 
-#include "common/logging.h"
+#include "transport/blocking_socket.h"
 
 namespace redy::transport {
 
@@ -37,33 +36,6 @@ bool ReadFully(int fd, void* buf, size_t n) {
     n -= static_cast<size_t>(r);
   }
   return true;
-}
-
-bool WriteFully(int fd, const void* buf, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t r = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (r <= 0) return false;
-    p += r;
-    n -= static_cast<size_t>(r);
-  }
-  return true;
-}
-
-int DialTcp(const std::string& host, uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 /// One framed message in each direction.
@@ -156,22 +128,7 @@ bool Wire::GetStr(std::string* s) {
 ControlPlaneServer::ControlPlaneServer(SocketFabric* fabric,
                                        CacheManager* manager, uint16_t port)
     : fabric_(fabric), manager_(manager) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  REDY_CHECK(listen_fd_ >= 0);
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  REDY_CHECK(::inet_pton(AF_INET, fabric_->listen_host().c_str(),
-                         &addr.sin_addr) == 1);
-  REDY_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    sizeof(addr)) == 0);
-  REDY_CHECK(::listen(listen_fd_, 4) == 0);
-  socklen_t len = sizeof(addr);
-  REDY_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                           &len) == 0);
-  port_ = ntohs(addr.sin_port);
+  listen_fd_ = ListenTcp(fabric_->listen_host(), port, 4, &port_);
   thread_ = std::thread([this] { Serve(); });
 }
 

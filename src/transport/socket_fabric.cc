@@ -1,6 +1,5 @@
 #include "transport/socket_fabric.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
@@ -11,53 +10,13 @@
 
 #include "common/logging.h"
 #include "rdma/responder.h"
+#include "transport/blocking_socket.h"
 
 namespace redy::transport {
 
 namespace {
 
 constexpr uint8_t Code(StatusCode c) { return static_cast<uint8_t>(c); }
-
-/// Dials host:port with a plain blocking socket. Connect() is a setup
-/// path (the deterministic stack connects once per client/server pair),
-/// so a synchronous dial keeps the verbs contract — Connect returns a
-/// usable or broken QP, never a half-open one.
-int DialBlocking(const std::string& host, uint16_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return -1;
-  }
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    close(fd);
-    return -1;
-  }
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool WriteFully(int fd, const std::vector<uint8_t>& buf) {
-  size_t off = 0;
-  while (off < buf.size()) {
-    // MSG_NOSIGNAL: a peer tearing down mid-write must surface as EPIPE,
-    // not kill the process.
-    const ssize_t n =
-        ::send(fd, buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
 
 ChainHopWire ToWire(const rdma::ChainHop& h) {
   return {h.key.rkey, h.key.epoch, h.remote_offset, h.local_offset, h.len,
@@ -102,14 +61,16 @@ Status SocketQueuePair::Connect(rdma::QueuePair* peer) {
   }
   if (sp->remote_endpoint_) {
     // The peer lives in another process: dial its fabric's listener and
-    // name the peer in the kConnect frame.
-    const int fd = DialBlocking(sp->host_, sp->port_);
+    // name the peer in the kConnect frame. The dial blocks, so Connect
+    // returns a usable or broken QP, never a half-open one.
+    const int fd = DialTcp(sp->host_, sp->port_);
     if (fd < 0) return Status::Unavailable("dial failed");
     FrameHeader h;
     h.type = static_cast<uint8_t>(FrameType::kConnect);
     h.token = token_;
     h.aux = sp->remote_token_;
-    if (!WriteFully(fd, EncodeFrame(h, nullptr, 0))) {
+    const std::vector<uint8_t> frame = EncodeFrame(h, nullptr, 0);
+    if (!WriteFully(fd, frame.data(), frame.size())) {
       close(fd);
       return Status::Unavailable("connect handshake failed");
     }
@@ -486,22 +447,7 @@ SocketFabric::SocketFabric(sim::Simulation* sim, WallClockDriver* driver,
   // The listener takes streams dialed from other processes; each one's
   // kConnect frame routes it to its QP token. In-process queue pairs
   // share socketpairs instead and never come through here.
-  const int lfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  REDY_CHECK(lfd >= 0);
-  int one = 1;
-  setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  REDY_CHECK(inet_pton(AF_INET, options_.listen_host.c_str(),
-                       &addr.sin_addr) == 1);
-  REDY_CHECK(bind(lfd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) == 0);
-  REDY_CHECK(listen(lfd, 128) == 0);
-  socklen_t alen = sizeof(addr);
-  REDY_CHECK(getsockname(lfd, reinterpret_cast<struct sockaddr*>(&addr),
-                         &alen) == 0);
-  port_ = ntohs(addr.sin_port);
+  const int lfd = ListenTcp(options_.listen_host, options_.port, 128, &port_);
 
   WorkerPool::Handlers handlers;
   handlers.on_frame = [this](WorkerPool::ConnId conn, uint64_t bound,

@@ -27,16 +27,6 @@ TEST(TopologyTest, SwitchHopsMatchDataCenterTiers) {
   }
 }
 
-TEST(TopologyTest, ServersWithinRespectsHops) {
-  Topology t(2, 3, 4);
-  auto rack = t.ServersWithin(0, 1);
-  EXPECT_EQ(rack.size(), 3u);  // rack peers, self excluded
-  auto pod = t.ServersWithin(0, 3);
-  EXPECT_EQ(pod.size(), 11u);
-  auto all = t.ServersWithin(0, 5);
-  EXPECT_EQ(all.size(), 23u);
-}
-
 TEST(TopologyTest, MinCrossRackHopsCoversTheThreeShapes) {
   // Several racks share a pod: the closest cross-rack pair is
   // intra-pod (3 switches).

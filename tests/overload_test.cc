@@ -206,6 +206,69 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
   EXPECT_EQ(tb.client().stats(*id_or)->errors, 0u);
 }
 
+TEST_F(OverloadTest, NearlyFullRingRefusesMultiPieceWriteWhole) {
+  // A replicated write across a region boundary stages four pieces
+  // (two regions, each with a replica twin). With three free slots the
+  // ring must refuse the whole op up front, not stage part of it.
+  Testbed tb(BaseOpts());
+  const uint64_t region = BaseOpts().client.region_bytes;
+  auto id_or =
+      tb.client().CreateReplicated(2 * region, RdmaConfig{1, 0, 1, 8}, 64);
+  ASSERT_TRUE(id_or.ok()) << id_or.status().ToString();
+  const CacheClient::CacheId id = *id_or;
+
+  // Reads stage one piece each; leave exactly three slots free.
+  constexpr uint64_t kFill = CacheClient::kBatchRingCapacity - 3;
+  char sink[kRecord];
+  uint64_t reads_done = 0;
+  for (uint64_t i = 0; i < kFill; i++) {
+    ASSERT_TRUE(tb.client()
+                    .Read(id, 0, sink, kRecord,
+                          [&](Status cs) {
+                            EXPECT_TRUE(cs.ok()) << cs.ToString();
+                            reads_done++;
+                          })
+                    .ok());
+  }
+  ASSERT_EQ(tb.client().InFlight(id), kFill);
+
+  const uint64_t addr = region - kRecord / 2;  // straddles the boundary
+  char payload[kRecord];
+  for (uint64_t i = 0; i < kRecord; i++) payload[i] = static_cast<char>(i + 1);
+  int write_cbs = 0;
+  Status write_status = Status::Unavailable("write never completed");
+  auto write = [&] {
+    return tb.client().Write(id, addr, payload, kRecord, [&](Status cs) {
+      write_cbs++;
+      write_status = cs;
+    });
+  };
+  const Status refused = write();
+  EXPECT_TRUE(refused.IsResourceExhausted()) << refused.ToString();
+  EXPECT_EQ(tb.client().InFlight(id), kFill);
+  EXPECT_EQ(write_cbs, 0);
+
+  // Once the ring drains, the same write is accepted and lands whole.
+  ASSERT_TRUE(RunUntil(tb, [&] { return reads_done == kFill; }));
+  EXPECT_EQ(write_cbs, 0) << "a refused op's callback must never run";
+  ASSERT_TRUE(write().ok());
+  ASSERT_TRUE(RunUntil(tb, [&] { return write_cbs == 1; }));
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+
+  char back[kRecord] = {};
+  bool read_back = false;
+  ASSERT_TRUE(tb.client()
+                  .Read(id, addr, back, kRecord,
+                        [&](Status cs) {
+                          EXPECT_TRUE(cs.ok()) << cs.ToString();
+                          read_back = true;
+                        })
+                  .ok());
+  ASSERT_TRUE(RunUntil(tb, [&] { return read_back; }));
+  EXPECT_EQ(std::memcmp(back, payload, kRecord), 0);
+  EXPECT_EQ(tb.client().InFlight(id), 0u);
+}
+
 TEST_F(OverloadTest, BusyPushbackShedsAndClientRetriesAbsorb) {
   TestbedOptions o = BaseOpts();
   o.server_overload.busy_pushback = true;

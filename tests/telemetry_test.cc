@@ -17,6 +17,7 @@
 
 #include "chaos/fault_injector.h"
 #include "chaos/storm.h"
+#include "common/logging.h"
 #include "redy/cache_client.h"
 #include "redy/testbed.h"
 #include "telemetry/telemetry.h"
@@ -184,10 +185,6 @@ TEST(MetricsRegistryTest, CountersGaugesAndSnapshots) {
   EXPECT_NE(json.find("\"value\":42"), std::string::npos);
   EXPECT_NE(json.find("\"cache\":\"1\""), std::string::npos);
   EXPECT_NE(json.find("\"value\":3"), std::string::npos);
-
-  const std::string table = reg.ToTable();
-  EXPECT_NE(table.find("redy.test.ops"), std::string::npos);
-  EXPECT_NE(table.find("redy.test.inflight"), std::string::npos);
 
   // Snapshots are deterministic (registration order, no timestamps
   // beyond sim-now, which has not advanced).
@@ -646,7 +643,6 @@ TEST(MetricsRegistryThreads, ConcurrentRegisterUpdateAndExport) {
   std::thread exporter([&reg, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
       EXPECT_FALSE(reg.ToJson().empty());
-      EXPECT_FALSE(reg.ToTable().empty());
       (void)reg.size();
     }
   });
